@@ -12,15 +12,22 @@
 //! The matrix runs on two games: Reversi (the paper's domain, written to
 //! `fault_matrix.json`) and Hex 11×11 (a branchier, longer game
 //! exercising the same fault policies, written to
-//! `fault_matrix_hex11.json`).
+//! `fault_matrix_hex11.json`). A third grid, `fault_matrix_service.json`,
+//! runs every fault class against [`SearchService`] sessions of each
+//! scheme ([`SESSION_SCHEMES`]), four concurrent sessions per cell sharing
+//! merged launches. Each cell's record is its first session's; every
+//! session must still return a move with an exact ledger and
+//! `completed_at − admitted_at == elapsed`. Network and dead-component
+//! classes have no component on the service path: the roster names them
+//! `inert_classes` and they must inject nothing.
 //!
 //! The outputs contain no wall-clock fields, so the same (seed, plan) must
 //! produce byte-identical JSON at any `--host-threads` count — the CI
 //! determinism gate diffs two runs at different counts.
 //!
 //! Run: `cargo run --release -p pmcts-bench --bin fault_matrix -- [--full]`
-//! (`--out DIR` also writes `DIR/fault_matrix.json` and
-//! `DIR/fault_matrix_hex11.json`).
+//! (`--out DIR` also writes `DIR/fault_matrix.json`,
+//! `DIR/fault_matrix_hex11.json` and `DIR/fault_matrix_service.json`).
 
 use pmcts_bench::{
     midgame_position, midgame_position_of, phase_record, write_json, BenchArgs, JsonObject,
@@ -46,6 +53,20 @@ const SCHEMES: [&str; 9] = [
     "wu_uct",
     "pipelined",
 ];
+
+/// The service-session roster, in cell-emission order.
+const SESSION_SCHEMES: [(&str, SessionScheme); 4] = [
+    ("sequential", SessionScheme::Sequential),
+    ("block", SessionScheme::Block(4)),
+    ("wu_uct", SessionScheme::WuUct(4)),
+    ("pipelined", SessionScheme::Pipelined(4)),
+];
+
+/// Concurrent sessions per service cell.
+const SESSIONS_PER_CELL: u64 = 4;
+
+/// Fault classes with no component on the service path.
+const SERVICE_INERT: [&str; 3] = ["net_delay", "net_drop", "dead_component"];
 
 /// The fault classes under test. Rates are 1.0 so every applicable cell
 /// genuinely exercises its response policy; classes a scheme has no
@@ -168,6 +189,67 @@ fn matrix_for<G: Game>(args: &BenchArgs, position: G) -> Vec<JsonObject> {
     records
 }
 
+/// Runs {fault class} × {session scheme} on the search service: per cell,
+/// four sessions of one scheme (search seeds `seed..seed+4`) share every
+/// merged launch of one service.
+fn service_matrix(args: &BenchArgs, position: Reversi) -> Vec<JsonObject> {
+    let iters = if args.full { 12 } else { 4 };
+    let host_threads = args.host_threads_or(2);
+    let classes = fault_classes(args.seed);
+    let schemes: Vec<&str> = SESSION_SCHEMES.iter().map(|(name, _)| *name).collect();
+    let class_names: Vec<&str> = classes.iter().map(|(name, _)| *name).collect();
+    let mut records = vec![JsonObject::new()
+        .str_field("kind", "roster")
+        .str_field("schemes", &schemes.join(","))
+        .str_field("fault_classes", &class_names.join(","))
+        .str_field("inert_classes", &SERVICE_INERT.join(","))];
+    for (class, plan) in classes {
+        for (scheme, session) in SESSION_SCHEMES {
+            let device = Device::new(DeviceSpec::tesla_c2050()).with_host_threads(host_threads);
+            let mut svc = SearchService::<Reversi>::new(device, 32, args.seed);
+            for s in 0..SESSIONS_PER_CELL {
+                let cfg = MctsConfig::default()
+                    .with_seed(args.seed + s)
+                    .with_faults(plan);
+                svc.admit(
+                    position,
+                    SearchBudget::Iterations(iters),
+                    cfg,
+                    session,
+                    None,
+                );
+            }
+            svc.run_to_completion();
+            let done = svc.take_completed();
+            assert_eq!(done.len() as u64, SESSIONS_PER_CELL, "{scheme}/{class}");
+            for c in &done {
+                let r = &c.report;
+                assert!(r.best_move.is_some(), "{scheme}/{class}: no move");
+                assert_eq!(r.phases.phase_sum(), r.elapsed, "{scheme}/{class}: ledger");
+                assert_eq!(
+                    c.completed_at - c.admitted_at,
+                    r.elapsed,
+                    "{scheme}/{class}"
+                );
+            }
+            let first = &done[0];
+            let best = first.report.best_move;
+            records.push(
+                phase_record(scheme, &first.report)
+                    .str_field("fault_class", class)
+                    .str_field("best_move", &format!("{:?}", best.expect("asserted above")))
+                    .u64_field("sessions", SESSIONS_PER_CELL)
+                    .u64_field("launches", svc.launches().len() as u64)
+                    .u64_field(
+                        "latency_ns",
+                        (first.completed_at - first.admitted_at).as_nanos(),
+                    ),
+            );
+        }
+    }
+    records
+}
+
 fn main() {
     let args = BenchArgs::parse();
     let iters = if args.full { 12 } else { 4 };
@@ -183,6 +265,8 @@ fn main() {
         fault_classes(args.seed).len(),
         SCHEMES.len(),
     );
+    let service_records = service_matrix(&args, midgame_position(args.seed, 20));
     write_json("fault_matrix", &records, &args);
     write_json("fault_matrix_hex11", &hex_records, &args);
+    write_json("fault_matrix_service", &service_records, &args);
 }

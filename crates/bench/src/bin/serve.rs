@@ -351,11 +351,17 @@ fn main() {
             }
             let cfg =
                 MctsConfig::default().with_seed(session_seed(args.seed, g as u64, ply as u64));
-            let id = svc.admit_sequential(games[g], budget, cfg.clone());
+            let id = svc.admit(
+                games[g],
+                budget,
+                cfg.clone(),
+                SessionScheme::Sequential,
+                None,
+            );
             admitted.push((g, id));
 
             let mut solo = SearchService::<Reversi>::new(device(), tpb, args.seed);
-            solo.admit_sequential(games[g], budget, cfg);
+            solo.admit(games[g], budget, cfg, SessionScheme::Sequential, None);
             solo.run_to_completion();
             let done = solo.take_completed();
             unbatched_sims += done[0].report.simulations;

@@ -9,6 +9,10 @@
 //! tree, and at the end root statistics are merged across trees exactly as
 //! in root parallelism.
 //!
+//! The round is `BlockEngine`, run by the solo driver of the
+//! `wave` module (and by the search service, one merged launch per
+//! round), which also owns the fault ladder.
+//!
 //! The host tree phases run on the device's
 //! [`WorkerPool`] in three stages
 //! per iteration: pool-parallel selection over trees, a sequential pass
@@ -25,23 +29,20 @@
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
-use crate::gpu::{aggregate, LaneOutcome, PlayoutKernel};
+use crate::gpu::{aggregate, LaneOutcome};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::{best_from_stats, merge_root_stats, SearchTree};
+use crate::wave::{Frontier, Ledger, PlayoutRequest, RoundEngine, Solo, LANE_SEED_STEP};
 use pmcts_games::{random_playout, Game, Player};
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig, WorkerPool};
+use pmcts_gpu_sim::{Device, LaunchConfig, WorkerPool};
 use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
+use std::sync::Arc;
 
 /// Block-parallel GPU searcher: one MCTS tree per GPU block.
 #[derive(Clone, Debug)]
 pub struct BlockParallelSearcher<G: Game> {
-    config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    stream: u64,
-    rng: Xoshiro256pp,
-    epoch: u64,
+    solo: Solo,
     _game: std::marker::PhantomData<fn() -> G>,
 }
 
@@ -60,173 +61,150 @@ impl<G: Game> BlockParallelSearcher<G> {
         launch: LaunchConfig,
         stream: u64,
     ) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0xB10C ^ stream);
         BlockParallelSearcher {
-            config,
-            device,
-            launch,
-            stream,
-            rng,
-            epoch: 0,
+            solo: Solo::new(config, device, launch, stream, 0xB10C, LANE_SEED_STEP),
             _game: std::marker::PhantomData,
         }
     }
 
     /// The launch geometry (blocks = trees).
     pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
+        self.solo.launch
     }
 
     /// Number of trees (= blocks).
     pub fn trees(&self) -> u32 {
-        self.launch.blocks
+        self.solo.launch.blocks
+    }
+}
+
+impl<G: Game> Searcher<G> for BlockParallelSearcher<G> {
+    fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
+        let mut engine = BlockEngine::solo(&self.solo, root, budget);
+        let report = self.solo.run(&mut engine);
+        self.solo.rng = engine.rng;
+        report
     }
 
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.epoch.wrapping_mul(0xA076_1D64_78BD_642F))
+    fn name(&self) -> String {
+        format!(
+            "block parallelism ({} blocks × {} threads)",
+            self.solo.launch.blocks, self.solo.launch.threads_per_block
+        )
+    }
+}
+
+/// The block-parallel round: `B` independent trees, one block each.
+pub(crate) struct BlockEngine<G: Game> {
+    pub(crate) config: MctsConfig,
+    pub(crate) trees: Vec<SearchTree<G>>,
+    pub(crate) rng: Xoshiro256pp,
+    pub(crate) pool: Arc<WorkerPool>,
+    pub(crate) threads_per_block: usize,
+    pub(crate) ledger: Ledger,
+    /// The frontier between `begin_round` and its landing.
+    pub(crate) pending: Option<Frontier<G>>,
+}
+
+impl<G: Game> BlockEngine<G> {
+    /// A solo searcher's engine for its next search of `root`.
+    pub(crate) fn solo(s: &Solo, root: G, budget: SearchBudget) -> Self {
+        let (rng, ledger) = (s.rng.clone(), s.ledger(budget));
+        Self::new(root, s.config.clone(), s.launch, s.pool(), rng, ledger)
     }
 
-    /// Runs the search, returning per-tree trees for callers that need them
-    /// (the hybrid scheme). Public API users call `Searcher::search`.
-    pub(crate) fn search_trees(
-        &mut self,
+    /// `launch.blocks` trees searching `root`.
+    pub(crate) fn new(
         root: G,
-        budget: SearchBudget,
-    ) -> (Vec<SearchTree<G>>, BudgetTracker, u64, PhaseBreakdown) {
-        let blocks = self.launch.blocks as usize;
-        let tpb = self.launch.threads_per_block as usize;
-        let mut trees: Vec<SearchTree<G>> = (0..blocks)
-            .map(|_| SearchTree::for_config(root, &self.config))
-            .collect();
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        let cpu = self.config.cpu_cost;
-        // Host tree phases fan out over the device's worker pool. The pool
-        // only decides which thread touches which tree; everything that
-        // affects results (RNG draws, cost folding, report merging) happens
-        // in block order on this thread, so reports and virtual time are
-        // bit-identical for any pool size.
-        let pool = std::sync::Arc::clone(self.device.worker_pool());
-        let exploration_c = self.config.exploration_c;
-
-        if trees[0].is_terminal(0) {
-            return (trees, tracker, 0, phases);
+        config: MctsConfig,
+        launch: LaunchConfig,
+        pool: Arc<WorkerPool>,
+        rng: Xoshiro256pp,
+        ledger: Ledger,
+    ) -> Self {
+        BlockEngine {
+            trees: (0..launch.blocks)
+                .map(|_| SearchTree::for_config(root, &config))
+                .collect(),
+            config,
+            rng,
+            pool,
+            threads_per_block: launch.threads_per_block as usize,
+            ledger,
+            pending: None,
         }
+    }
+}
 
-        let plan = self.config.faults;
-        while tracker.may_continue() {
-            let mut iter_cost = SimTime::ZERO;
-            let (frontier, host_cost) = select_and_expand_all(
-                &mut trees,
-                &mut self.rng,
-                exploration_c,
-                &cpu,
-                &pool,
-                &mut phases,
-            );
-            iter_cost += host_cost;
+impl<G: Game> RoundEngine<G> for BlockEngine<G> {
+    fn ledger(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
 
-            // One launch simulates every tree's frontier node. A hang is
-            // retried once; a second hang degrades the iteration to one CPU
-            // playout per tree.
-            let mut retried = false;
-            loop {
-                let kernel = PlayoutKernel::new(
-                    frontier.iter().map(|&(_, s, _)| s).collect(),
-                    self.next_stream_seed(),
-                );
-                let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-                let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-                phases.upload += cpu.launch_prep + upload;
-                iter_cost += cpu.launch_prep + upload;
-
-                if result.fault == GpuFault::Hang {
-                    let deadline = plan.hang_deadline(result.stats.elapsed());
-                    phases.kernel += deadline;
-                    iter_cost += deadline;
-                    phases.faults.injected += 1;
-                    if !retried {
-                        retried = true;
-                        phases.faults.retried += 1;
-                        continue;
-                    }
-                    // Degraded mode: every tree gets one CPU playout from
-                    // its already-selected frontier node.
-                    for (b, tree) in trees.iter_mut().enumerate() {
-                        let playout = random_playout(frontier[b].1, &mut self.rng);
-                        let cost = cpu.playout(playout.plies);
-                        phases.kernel += cost;
-                        iter_cost += cost;
-                        tree.backprop(frontier[b].0, playout.reward_for(Player::P1), 1);
-                        simulations += 1;
-                        phases.simulations += 1;
-                        phases.faults.degraded += 1;
-                    }
-                    break;
-                }
-
-                let voided = match result.fault {
-                    GpuFault::BlockAbort(bad) => {
-                        phases.faults.injected += 1;
-                        phases.faults.degraded += 1;
-                        Some(bad as usize)
-                    }
-                    fault => {
-                        if fault != GpuFault::None {
-                            phases.faults.injected += 1;
-                        }
-                        None
-                    }
-                };
-
-                simulations += backprop_outputs(
-                    &mut trees,
-                    &frontier,
-                    &result.outputs,
-                    tpb,
-                    voided,
-                    &pool,
-                    &mut phases,
-                );
-
-                phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                phases.readback += result.stats.readback_time;
-                iter_cost += result.stats.elapsed();
-                phases.record_launch(&result.stats);
-                break;
-            }
-
-            tracker.charge(iter_cost);
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        if self.trees[0].is_terminal(self.trees[0].root()) {
+            return None;
         }
+        let frontier = select_and_expand_all(
+            &mut self.trees,
+            &mut self.rng,
+            self.config.exploration_c,
+            &self.pool,
+            &mut self.ledger.phases,
+        );
+        let request = PlayoutRequest::new(&frontier, &self.config.cpu_cost);
+        self.pending = Some(frontier);
+        Some(request)
+    }
 
-        (trees, tracker, simulations, phases)
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        let frontier = self.pending.take().expect("no round in flight");
+        backprop_outputs(
+            &mut self.trees,
+            &frontier,
+            lanes,
+            self.threads_per_block,
+            voided,
+            &self.pool,
+            &mut self.ledger.phases,
+        );
+    }
+
+    fn degrade(&mut self) -> SimTime {
+        let frontier = self.pending.take().expect("no round in flight");
+        cpu_playouts(
+            &mut self.trees,
+            &frontier,
+            &mut self.rng,
+            &self.config.cpu_cost,
+            &mut self.ledger.phases,
+        )
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        report_from_trees(
+            &self.config,
+            &self.trees,
+            &self.ledger.tracker,
+            self.ledger.phases.clone(),
+        )
     }
 }
 
 /// The host half of one block-parallel round: pool-parallel selection over
 /// every tree, expansion picks drawn from the shared RNG in block order,
-/// pool-parallel expansion, and a block-order fold of per-tree host costs
-/// into `phases.select`/`phases.expand`. Returns each tree's frontier
-/// `(node, state, depth)` plus the summed host tree-op cost.
+/// and pool-parallel expansion. Returns each tree's frontier
+/// `(node, state, depth)`; expansions are counted into `phases`.
 ///
-/// Shared between [`BlockParallelSearcher::search_trees`] (lockstep loop)
-/// and the multi-session search service (one round per batched launch).
 /// Everything that affects results happens in block order on the calling
 /// thread, so the output is bit-identical for any pool size.
 pub(crate) fn select_and_expand_all<G: Game>(
     trees: &mut [SearchTree<G>],
     rng: &mut Xoshiro256pp,
     exploration_c: f64,
-    cpu: &CpuCostModel,
     pool: &WorkerPool,
     phases: &mut PhaseBreakdown,
-) -> (Vec<(u32, G, u32)>, SimTime) {
+) -> Frontier<G> {
     // Selection on every tree (pool-parallel; trees are independent,
     // selection is read-only).
     let selected: Vec<(u32, u32)> = pool.map_indexed(trees, |_, tree| {
@@ -249,28 +227,19 @@ pub(crate) fn select_and_expand_all<G: Game>(
         .collect();
     // Expansion with the pre-drawn picks (pool-parallel), capturing each
     // tree's frontier node for the kernel.
-    let frontier: Vec<(u32, G, u32)> = pool.map_indexed(trees, |b, tree| {
+    pool.map_indexed(trees, |b, tree| {
         let node = match picks[b] {
             Some(pick) => tree.expand_with_pick(selected[b].0, pick),
             None => selected[b].0,
         };
         (node, *tree.state(node), tree.depth(node))
-    });
-    // Deterministic block-order folding of per-tree host costs.
-    let mut host_cost = SimTime::ZERO;
-    for &(_, _, depth) in &frontier {
-        host_cost += cpu.tree_op(depth);
-        phases.select += cpu.select_cost(depth);
-        phases.expand += cpu.expand_cost();
-    }
-    (frontier, host_cost)
+    })
 }
 
 /// The readback half of one block-parallel round: block `b`'s `tpb` lanes
 /// are aggregated and backpropagated into tree `b` (pool-parallel; each
 /// tree's backprop walk is independent). A voided (aborted) block's tree
-/// receives nothing. Simulation counts fold in block order; returns the
-/// total simulations credited.
+/// receives nothing. Simulation counts fold in block order.
 pub(crate) fn backprop_outputs<G: Game>(
     trees: &mut [SearchTree<G>],
     frontier: &[(u32, G, u32)],
@@ -279,7 +248,7 @@ pub(crate) fn backprop_outputs<G: Game>(
     voided: Option<usize>,
     pool: &WorkerPool,
     phases: &mut PhaseBreakdown,
-) -> u64 {
+) {
     let counts: Vec<u64> = pool.map_indexed(trees, |b, tree| {
         if Some(b) == voided {
             return 0;
@@ -289,27 +258,45 @@ pub(crate) fn backprop_outputs<G: Game>(
         tree.backprop(frontier[b].0, wins_p1, n);
         n
     });
-    let mut total = 0u64;
-    for n in counts {
-        total += n;
-        phases.simulations += n;
-    }
-    total
+    phases.simulations += counts.iter().sum::<u64>();
 }
 
-/// Merges per-tree reports into one `SearchReport` (shared with hybrid).
+/// The degraded landing of a round: one CPU playout per frontier node,
+/// drawn from `rng` in block order and backpropagated into tree
+/// `b % trees.len()` (a shared tree receives every block's). Returns the
+/// CPU time spent.
+pub(crate) fn cpu_playouts<G: Game>(
+    trees: &mut [SearchTree<G>],
+    frontier: &[(u32, G, u32)],
+    rng: &mut Xoshiro256pp,
+    cpu: &CpuCostModel,
+    phases: &mut PhaseBreakdown,
+) -> SimTime {
+    let mut cost = SimTime::ZERO;
+    let n = trees.len();
+    for (b, &(node, state, _)) in frontier.iter().enumerate() {
+        let playout = random_playout(state, rng);
+        cost += cpu.playout(playout.plies);
+        trees[b % n].backprop(node, playout.reward_for(Player::P1), 1);
+        phases.simulations += 1;
+        phases.faults.degraded += 1;
+    }
+    cost
+}
+
+/// Merges per-tree reports into one `SearchReport` (shared by every
+/// multi-tree and shared-tree scheme).
 pub(crate) fn report_from_trees<G: Game>(
     config: &MctsConfig,
     trees: &[SearchTree<G>],
     tracker: &BudgetTracker,
-    simulations: u64,
     mut phases: PhaseBreakdown,
 ) -> SearchReport<G::Move> {
     let merged = merge_root_stats(&trees.iter().map(|t| t.root_stats()).collect::<Vec<_>>());
     phases.budget_overshoot = tracker.overshoot();
     SearchReport {
         best_move: best_from_stats(&merged, config.final_move),
-        simulations,
+        simulations: phases.simulations,
         iterations: tracker.iterations,
         tree_nodes: trees.iter().map(|t| t.live_nodes() as u64).sum(),
         max_depth: trees.iter().map(|t| t.max_depth()).max().unwrap_or(0),
@@ -317,36 +304,6 @@ pub(crate) fn report_from_trees<G: Game>(
         root_stats: merged,
         phases,
     }
-}
-
-impl<G: Game> Searcher<G> for BlockParallelSearcher<G> {
-    fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let (trees, tracker, sims, phases) = self.search_trees(root, budget);
-        report_from_trees(&self.config, &trees, &tracker, sims, phases)
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "block parallelism ({} blocks × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
-        )
-    }
-}
-
-/// Estimated virtual cost of ONE block-parallel iteration — exposed so the
-/// Fig. 5 speed analysis can decompose kernel vs host-sequential time.
-pub fn iteration_cost_breakdown<G: Game>(
-    config: &MctsConfig,
-    device: &Device,
-    launch: &LaunchConfig,
-    avg_depth: u32,
-) -> (SimTime, SimTime) {
-    let cpu = config.cpu_cost;
-    let host = cpu.launch_prep + cpu.tree_op(avg_depth) * launch.blocks as u64;
-    let upload = device
-        .spec()
-        .transfer_time((launch.blocks as usize * G::device_state_bytes()) as u64);
-    (host, upload)
 }
 
 #[cfg(test)]
@@ -445,7 +402,10 @@ mod tests {
     fn trees_develop_independently() {
         let mut s =
             BlockParallelSearcher::<Reversi>::new(cfg(7), device(), LaunchConfig::new(2, 32));
-        let (trees, _, _, _) = s.search_trees(Reversi::initial(), SearchBudget::Iterations(10));
+        let mut engine =
+            BlockEngine::solo(&s.solo, Reversi::initial(), SearchBudget::Iterations(10));
+        s.solo.run(&mut engine);
+        let trees = engine.trees;
         // Two trees with independent randomness almost surely differ in
         // their root statistics after 10 iterations.
         assert_ne!(trees[0].root_stats(), trees[1].root_stats());

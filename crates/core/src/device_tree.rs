@@ -38,12 +38,11 @@
 //! second hang abandons the device for the move and falls back to the
 //! host-driven block-parallel loop on the same resident trees.
 
-use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
+use crate::block_parallel::{report_from_trees, BlockEngine};
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::PlayoutKernel;
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
-use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
+use crate::wave::{Solo, LANE_SEED_STEP};
 use pmcts_games::{random_playout, Game, Player};
 use pmcts_gpu_sim::{
     Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace, WorkerPool,
@@ -68,12 +67,10 @@ pub struct DeviceTreeSearcher<G: Game> {
     device: Device,
     launch: LaunchConfig,
     tree_spec: DeviceTreeSpec,
-    stream: u64,
-    /// Host RNG, used only by the hang-degradation fallback (expansion
-    /// picks + degraded CPU playouts), mirroring the block-parallel
-    /// stream so the fallback is the same machine.
-    rng: Xoshiro256pp,
-    epoch: u64,
+    /// The launch epoch and fault schedule, shared with the hang fallback:
+    /// block parallelism on this stream (host RNG for expansion picks and
+    /// degraded CPU playouts), so the fallback is the same machine.
+    host: Solo,
     /// Trees left on the device by the previous search (re-rooted on the
     /// next one; `reset` drops them).
     resident: Option<Vec<SearchTree<G>>>,
@@ -107,15 +104,19 @@ impl<G: Game> DeviceTreeSearcher<G> {
         stream: u64,
     ) -> Self {
         launch.validate(device.spec());
-        let rng = Xoshiro256pp::derive(config.seed, 0xDE1C ^ stream);
         DeviceTreeSearcher {
+            host: Solo::new(
+                config.clone(),
+                device.clone(),
+                launch,
+                stream,
+                0xDE1C,
+                LANE_SEED_STEP,
+            ),
             config,
             device,
             launch,
             tree_spec: DeviceTreeSpec::c2050_resident(),
-            stream,
-            rng,
-            epoch: 0,
             resident: None,
         }
     }
@@ -139,11 +140,6 @@ impl<G: Game> DeviceTreeSearcher<G> {
     /// Drops the resident trees (e.g. when starting a new game).
     pub fn reset(&mut self) {
         self.resident = None;
-    }
-
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        stream_seed(self.config.seed, self.stream, self.epoch)
     }
 
     /// Re-roots the resident trees at `root` (falling back to cold trees
@@ -193,13 +189,6 @@ impl<G: Game> DeviceTreeSearcher<G> {
             }
         }
     }
-}
-
-/// Per-launch stream seed: experiment seed × sub-stream × epoch (the same
-/// derivation every launching searcher uses).
-pub(crate) fn stream_seed(seed: u64, stream: u64, epoch: u64) -> u64 {
-    seed.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(epoch.wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
 /// One complete in-kernel MCTS iteration for one lane: UCB descent,
@@ -319,117 +308,19 @@ fn run_rounds<G: Game>(
 impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         let (mut trees, mut allocs) = self.prepare(root);
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
+        let mut ledger = self.host.ledger(budget);
         let cpu = self.config.cpu_cost;
         let spec = self.device.spec().clone();
-        let pool = std::sync::Arc::clone(self.device.worker_pool());
         let exploration_c = self.config.exploration_c;
         let plan = self.config.faults;
-        let tpb = self.launch.threads_per_block as usize;
-
-        if trees[0].is_terminal(trees[0].root()) {
-            let report = report_from_trees(&self.config, &trees, &tracker, 0, phases);
-            self.resident = Some(trees);
-            return report;
-        }
 
         let mut uploaded = false;
         let mut last_round_cost = SimTime::ZERO;
-        // Hang deadlines accrued before any round could complete; folded
-        // into the next charged iteration so the ledger stays exact.
-        let mut pending_fault_cost = SimTime::ZERO;
         let mut hang_retried = false;
-        let mut host_fallback = false;
 
-        while tracker.may_continue() {
-            if host_fallback {
-                // Degraded mode: the device is abandoned for this move;
-                // drive the same resident trees with the host-side
-                // block-parallel round (select/expand on the CPU, one
-                // playout launch, backprop), including its own
-                // hang-retry / CPU-playout degradation.
-                let mut iter_cost = std::mem::take(&mut pending_fault_cost);
-                let (frontier, host_cost) = select_and_expand_all(
-                    &mut trees,
-                    &mut self.rng,
-                    exploration_c,
-                    &cpu,
-                    &pool,
-                    &mut phases,
-                );
-                iter_cost += host_cost;
-                let mut retried = false;
-                loop {
-                    let kernel = PlayoutKernel::new(
-                        frontier.iter().map(|&(_, s, _)| s).collect(),
-                        self.next_stream_seed(),
-                    );
-                    let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-                    let upload = spec.transfer_time(kernel.upload_bytes());
-                    let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-                    phases.upload += cpu.launch_prep + upload;
-                    iter_cost += cpu.launch_prep + upload;
-
-                    if result.fault == GpuFault::Hang {
-                        let deadline = plan.hang_deadline(result.stats.elapsed());
-                        phases.kernel += deadline;
-                        iter_cost += deadline;
-                        phases.faults.injected += 1;
-                        if !retried {
-                            retried = true;
-                            phases.faults.retried += 1;
-                            continue;
-                        }
-                        for (b, tree) in trees.iter_mut().enumerate() {
-                            let playout = random_playout(frontier[b].1, &mut self.rng);
-                            let cost = cpu.playout(playout.plies);
-                            phases.kernel += cost;
-                            iter_cost += cost;
-                            tree.backprop(frontier[b].0, playout.reward_for(Player::P1), 1);
-                            simulations += 1;
-                            phases.simulations += 1;
-                            phases.faults.degraded += 1;
-                        }
-                        break;
-                    }
-
-                    let voided = match result.fault {
-                        GpuFault::BlockAbort(bad) => {
-                            phases.faults.injected += 1;
-                            phases.faults.degraded += 1;
-                            Some(bad as usize)
-                        }
-                        fault => {
-                            if fault != GpuFault::None {
-                                phases.faults.injected += 1;
-                            }
-                            None
-                        }
-                    };
-                    simulations += backprop_outputs(
-                        &mut trees,
-                        &frontier,
-                        &result.outputs,
-                        tpb,
-                        voided,
-                        &pool,
-                        &mut phases,
-                    );
-                    phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                    phases.readback += result.stats.readback_time;
-                    iter_cost += result.stats.elapsed();
-                    phases.record_launch(&result.stats);
-                    break;
-                }
-                tracker.charge(iter_cost);
-                continue;
-            }
-
-            let rounds = Self::planned_rounds(budget, &tracker, last_round_cost);
-            let seed = self.next_stream_seed();
-            let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
+        while !trees[0].is_terminal(trees[0].root()) && ledger.tracker.may_continue() {
+            let rounds = Self::planned_rounds(budget, &ledger.tracker, last_round_cost);
+            let (seed, fault) = self.host.next_launch(&mut ledger);
 
             if fault == GpuFault::Hang {
                 // The persistent launch produced nothing observable. Cost
@@ -442,7 +333,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 let (stats, _, _) = run_rounds(
                     &mut dry_trees,
                     &mut dry_allocs,
-                    &pool,
+                    self.device.worker_pool(),
                     self.launch,
                     &self.tree_spec,
                     &self.device,
@@ -452,24 +343,38 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                     None,
                 );
                 let deadline = plan.hang_deadline(stats.elapsed());
-                phases.kernel += deadline;
-                pending_fault_cost += deadline;
-                phases.faults.injected += 1;
+                ledger.phases.kernel += deadline;
+                ledger.carried += deadline;
+                ledger.phases.faults.injected += 1;
                 if !hang_retried {
                     hang_retried = true;
-                    phases.faults.retried += 1;
-                } else {
-                    phases.faults.degraded += 1;
-                    host_fallback = true;
+                    ledger.phases.faults.retried += 1;
+                    continue;
                 }
-                continue;
+                // Degraded mode: the device is abandoned for this move. The
+                // block-parallel round drives the same resident trees
+                // through the shared launch path and its fault ladder.
+                ledger.phases.faults.degraded += 1;
+                let mut engine = BlockEngine {
+                    config: self.config.clone(),
+                    trees,
+                    rng: self.host.rng.clone(),
+                    pool: self.host.pool(),
+                    threads_per_block: self.launch.threads_per_block as usize,
+                    ledger,
+                    pending: None,
+                };
+                let report = self.host.run(&mut engine);
+                self.host.rng = engine.rng;
+                self.resident = Some(engine.trees);
+                return report;
             }
             hang_retried = false;
 
             let voided = match fault {
                 GpuFault::BlockAbort(bad) => {
-                    phases.faults.injected += 1;
-                    phases.faults.degraded += 1;
+                    ledger.phases.faults.injected += 1;
+                    ledger.phases.faults.degraded += 1;
                     Some(bad as usize % self.launch.blocks as usize)
                 }
                 _ => None,
@@ -478,7 +383,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             let (mut stats, sims, expansions) = run_rounds(
                 &mut trees,
                 &mut allocs,
-                &pool,
+                self.device.worker_pool(),
                 self.launch,
                 &self.tree_spec,
                 &self.device,
@@ -489,14 +394,14 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             );
             if let GpuFault::Slowdown(factor) = fault {
                 stats.device_time = stats.device_time * factor.max(1) as u64;
-                phases.faults.injected += 1;
+                ledger.phases.faults.injected += 1;
             }
 
             // Exact ledger: launch prep + (first launch only) the root
             // state delta to the upload phase; overhead + device time to
             // the kernel phase; root-stat readback to the readback phase.
-            let mut total = stats.elapsed() + cpu.launch_prep + pending_fault_cost;
-            pending_fault_cost = SimTime::ZERO;
+            let phases = &mut ledger.phases;
+            let mut total = stats.elapsed() + cpu.launch_prep + std::mem::take(&mut ledger.carried);
             phases.upload += cpu.launch_prep;
             if !uploaded {
                 uploaded = true;
@@ -509,7 +414,6 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             phases.record_launch(&stats);
             phases.simulations += sims;
             phases.expansions += expansions;
-            simulations += sims;
 
             // Charge the tracker round by round: the integer split sums
             // to the launch total exactly, so iterations count rounds and
@@ -517,12 +421,12 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             let total_ns = total.as_nanos();
             for i in 0..rounds {
                 let share = total_ns * (i + 1) / rounds - total_ns * i / rounds;
-                tracker.charge(SimTime::from_nanos(share));
+                ledger.tracker.charge(SimTime::from_nanos(share));
             }
             last_round_cost = SimTime::from_nanos((total_ns / rounds).max(1));
         }
 
-        let report = report_from_trees(&self.config, &trees, &tracker, simulations, phases);
+        let report = report_from_trees(&self.config, &trees, &ledger.tracker, ledger.phases);
         self.resident = Some(trees);
         report
     }
@@ -538,6 +442,12 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lane seed of launch `epoch` on `stream`.
+    fn stream_seed(seed: u64, stream: u64, epoch: u64) -> u64 {
+        seed.wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(epoch.wrapping_mul(LANE_SEED_STEP))
+    }
     use crate::block_parallel::BlockParallelSearcher;
     use pmcts_games::{Reversi, TicTacToe};
     use pmcts_gpu_sim::DeviceSpec;

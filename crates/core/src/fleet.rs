@@ -51,7 +51,7 @@
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::SearchReport;
-use crate::service::{SearchService, SessionId};
+use crate::service::{SearchService, SessionId, SessionScheme};
 use pmcts_games::Game;
 use pmcts_gpu_sim::Device;
 use pmcts_mpi_sim::Rank;
@@ -559,10 +559,11 @@ impl<G: Game> Fleet<G> {
             sh.replaced_in += 1;
         }
         sh.backlog += ticket.load;
-        let session = sh.service.admit_sequential_with_slo(
+        let session = sh.service.admit(
             ticket.root,
             ticket.budget,
             ticket.config.clone(),
+            SessionScheme::Sequential,
             ticket.slo,
         );
         let rank = sh.rank;

@@ -14,15 +14,17 @@
 //! genuinely executes in the background via
 //! [`pmcts_gpu_sim::PendingLaunch`].
 
+use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::{aggregate, PlayoutKernel};
+use crate::gpu::PlayoutKernel;
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
+use crate::wave::{void_of, HostTime};
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
-use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
+use pmcts_util::{SimTime, Xoshiro256pp};
 use std::sync::Arc;
 
 /// Hybrid CPU+GPU block-parallel searcher.
@@ -71,7 +73,6 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
             .collect();
         let mut tracker = BudgetTracker::new(budget);
         let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
         let cpu = self.config.cpu_cost;
         let mut kernel_estimate: Option<SimTime> = None;
         let mut cpu_turn = 0usize;
@@ -82,45 +83,24 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
         let mut est_iter = (cpu.tree_op(8) + cpu.playout(G::MAX_GAME_LENGTH as u32 / 2))
             .max(SimTime::from_nanos(1));
 
-        // Host tree phases fan out over the device's pool exactly as in
-        // `BlockParallelSearcher`: pool-parallel selection, sequential RNG
-        // pick drawing in block order, pool-parallel expansion. RNG draw
-        // order and cost folding are untouched, so reports stay
-        // bit-identical for any pool size.
+        // Host tree phases are block parallelism's, fanned out over the
+        // device's pool; RNG draw order and cost folding stay in block
+        // order, so reports are bit-identical for any pool size.
         let pool = Arc::clone(self.device.worker_pool());
-        let exploration_c = self.config.exploration_c;
 
         if !trees[0].is_terminal(0) {
             let plan = self.config.faults;
             while tracker.may_continue() {
-                let mut host_cost = cpu.launch_prep;
-                let selected: Vec<(u32, u32)> = pool.map_indexed(&mut trees, |_, tree| {
-                    let sel = tree.select(exploration_c);
-                    (sel, tree.untried_len(sel) as u32)
-                });
-                let picks: Vec<Option<u32>> = selected
-                    .iter()
-                    .map(|&(_, untried)| {
-                        if untried != 0 {
-                            phases.expansions += 1;
-                            Some(self.rng.next_below(untried))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                let frontier: Vec<(u32, G, u32)> = pool.map_indexed(&mut trees, |b, tree| {
-                    let node = match picks[b] {
-                        Some(pick) => tree.expand_with_pick(selected[b].0, pick),
-                        None => selected[b].0,
-                    };
-                    (node, *tree.state(node), tree.depth(node))
-                });
-                for &(_, _, depth) in &frontier {
-                    host_cost += cpu.tree_op(depth);
-                    phases.select += cpu.select_cost(depth);
-                    phases.expand += cpu.expand_cost();
-                }
+                let frontier = select_and_expand_all(
+                    &mut trees,
+                    &mut self.rng,
+                    self.config.exploration_c,
+                    &pool,
+                    &mut phases,
+                );
+                let host = HostTime::of(&cpu, &frontier);
+                host.bill(&mut phases);
+                let host_cost = cpu.launch_prep + host.total();
 
                 let kernel = Arc::new(PlayoutKernel::new(
                     frontier.iter().map(|&(_, s, _)| s).collect(),
@@ -145,9 +125,8 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                     while shadow.elapsed + est_iter <= est {
                         let before = shadow.elapsed;
                         let tree = &mut trees[cpu_turn % blocks];
-                        simulations +=
-                            self.cpu_worker
-                                .one_iteration(tree, &mut shadow, &mut scratch);
+                        self.cpu_worker
+                            .one_iteration(tree, &mut shadow, &mut scratch);
                         est_iter = (shadow.elapsed - before).max(SimTime::from_nanos(1));
                         cpu_turn += 1;
                     }
@@ -172,9 +151,8 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                     while shadow.elapsed + est_iter <= deadline {
                         let before = shadow.elapsed;
                         let tree = &mut trees[cpu_turn % blocks];
-                        simulations +=
-                            self.cpu_worker
-                                .one_iteration(tree, &mut shadow, &mut scratch);
+                        self.cpu_worker
+                            .one_iteration(tree, &mut shadow, &mut scratch);
                         est_iter = (shadow.elapsed - before).max(SimTime::from_nanos(1));
                         cpu_turn += 1;
                     }
@@ -182,34 +160,16 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                     shadow_elapsed = shadow.elapsed;
                     deadline
                 } else {
-                    let voided = match result.fault {
-                        GpuFault::BlockAbort(bad) => {
-                            phases.faults.injected += 1;
-                            phases.faults.degraded += 1;
-                            Some(bad as usize)
-                        }
-                        fault => {
-                            if fault != GpuFault::None {
-                                phases.faults.injected += 1;
-                            }
-                            None
-                        }
-                    };
-                    // Pool-parallel backprop, counts folded in block order.
-                    let outputs = &result.outputs;
-                    let counts: Vec<u64> = pool.map_indexed(&mut trees, |b, tree| {
-                        if Some(b) == voided {
-                            return 0;
-                        }
-                        let lanes = &outputs[b * tpb..(b + 1) * tpb];
-                        let (wins_p1, n) = aggregate(lanes);
-                        tree.backprop(frontier[b].0, wins_p1, n);
-                        n
-                    });
-                    for n in counts {
-                        simulations += n;
-                        phases.simulations += n;
-                    }
+                    let voided = void_of(result.fault, &mut phases);
+                    backprop_outputs(
+                        &mut trees,
+                        &frontier,
+                        &result.outputs,
+                        tpb,
+                        voided,
+                        &pool,
+                        &mut phases,
+                    );
                     phases.record_launch(&result.stats);
                     kernel_elapsed
                 };
@@ -242,13 +202,7 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
             }
         }
 
-        crate::block_parallel::report_from_trees(
-            &self.config,
-            &trees,
-            &tracker,
-            simulations,
-            phases,
-        )
+        report_from_trees(&self.config, &trees, &tracker, phases)
     }
 
     fn name(&self) -> String {

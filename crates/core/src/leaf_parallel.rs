@@ -7,25 +7,26 @@
 //! same as in the basic CPU version except that the number of simulations
 //! is greater and the accuracy is better" — but all those simulations
 //! sample one node, which is why its playing strength saturates (Fig. 6).
+//!
+//! The round is `LeafEngine`, launched through the shared fault ladder of
+//! the `wave` module. With one block it is also the search service's
+//! sequential-tree session: one block of device lanes per selected node.
 
+use crate::block_parallel::{cpu_playouts, report_from_trees};
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::{aggregate, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport, Searcher};
-use crate::telemetry::PhaseBreakdown;
+use crate::gpu::{aggregate, LaneOutcome};
+use crate::searcher::{SearchReport, Searcher};
+use crate::sequential::select_and_expand;
 use crate::tree::SearchTree;
-use pmcts_games::{random_playout, Game, Player};
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
-use pmcts_util::Xoshiro256pp;
+use crate::wave::{Frontier, Ledger, PlayoutRequest, RoundEngine, Solo};
+use pmcts_games::Game;
+use pmcts_gpu_sim::{Device, LaunchConfig};
+use pmcts_util::{SimTime, Xoshiro256pp};
 
 /// Leaf-parallel GPU searcher.
 #[derive(Clone, Debug)]
 pub struct LeafParallelSearcher<G: Game> {
-    config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    stream: u64,
-    rng: Xoshiro256pp,
-    epoch: u64,
+    solo: Solo,
     _game: std::marker::PhantomData<fn() -> G>,
 }
 
@@ -43,156 +44,131 @@ impl<G: Game> LeafParallelSearcher<G> {
         launch: LaunchConfig,
         stream: u64,
     ) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0x1EAF ^ stream);
         LeafParallelSearcher {
-            config,
-            device,
-            launch,
-            stream,
-            rng,
-            epoch: 0,
+            solo: Solo::new(
+                config,
+                device,
+                launch,
+                stream,
+                0x1EAF,
+                0xD134_2543_DE82_EF95,
+            ),
             _game: std::marker::PhantomData,
         }
     }
 
     /// The launch geometry in use.
     pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
-    }
-
-    /// Simulations per host iteration (= grid size).
-    pub fn sims_per_iteration(&self) -> u64 {
-        self.launch.total_threads() as u64
-    }
-
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.epoch.wrapping_mul(0xD134_2543_DE82_EF95))
+        self.solo.launch
     }
 }
 
 impl<G: Game> Searcher<G> for LeafParallelSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let mut tree = SearchTree::for_config(root, &self.config);
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        let cpu = self.config.cpu_cost;
-
-        if !tree.is_terminal(tree.root()) {
-            let plan = self.config.faults;
-            while tracker.may_continue() {
-                // Selection + expansion on the host.
-                let selected = tree.select(self.config.exploration_c);
-                let node = if !tree.fully_expanded(selected) {
-                    phases.expansions += 1;
-                    tree.expand(selected, &mut self.rng)
-                } else {
-                    selected
-                };
-                let depth = tree.depth(node);
-                phases.select += cpu.select_cost(depth);
-                phases.expand += cpu.expand_cost();
-                let mut iter_cost = cpu.tree_op(depth);
-
-                // One kernel launch: the whole grid simulates this node. A
-                // launch that hangs past its virtual deadline is retried
-                // once with fresh stream randomness; a second hang degrades
-                // the iteration to one CPU playout so progress is always
-                // made.
-                let mut retried = false;
-                loop {
-                    let kernel =
-                        PlayoutKernel::new(vec![*tree.state(node)], self.next_stream_seed());
-                    let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-                    let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                    let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-                    phases.upload += cpu.launch_prep + upload;
-                    iter_cost += cpu.launch_prep + upload;
-
-                    if result.fault == GpuFault::Hang {
-                        // The host waits out the deadline; the launch's
-                        // outputs are void.
-                        let deadline = plan.hang_deadline(result.stats.elapsed());
-                        phases.kernel += deadline;
-                        iter_cost += deadline;
-                        phases.faults.injected += 1;
-                        if !retried {
-                            retried = true;
-                            phases.faults.retried += 1;
-                            continue;
-                        }
-                        let playout = random_playout(*tree.state(node), &mut self.rng);
-                        let cost = cpu.playout(playout.plies);
-                        phases.kernel += cost;
-                        iter_cost += cost;
-                        tree.backprop(node, playout.reward_for(Player::P1), 1);
-                        simulations += 1;
-                        phases.simulations += 1;
-                        phases.faults.degraded += 1;
-                        break;
-                    }
-
-                    // Completed launch (possibly slowed, possibly with one
-                    // aborted block whose lane results are void).
-                    let (wins_p1, n) = match result.fault {
-                        GpuFault::BlockAbort(bad) => {
-                            phases.faults.injected += 1;
-                            phases.faults.degraded += 1;
-                            let tpb = self.launch.threads_per_block as usize;
-                            let mut wins = 0.0;
-                            let mut n = 0u64;
-                            for b in 0..self.launch.blocks as usize {
-                                if b == bad as usize {
-                                    continue;
-                                }
-                                let (w, c) = aggregate(&result.outputs[b * tpb..(b + 1) * tpb]);
-                                wins += w;
-                                n += c;
-                            }
-                            (wins, n)
-                        }
-                        fault => {
-                            if fault != GpuFault::None {
-                                phases.faults.injected += 1;
-                            }
-                            aggregate(&result.outputs)
-                        }
-                    };
-                    tree.backprop(node, wins_p1, n);
-                    simulations += n;
-                    phases.simulations += n;
-                    phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                    phases.readback += result.stats.readback_time;
-                    iter_cost += result.stats.elapsed();
-                    phases.record_launch(&result.stats);
-                    break;
-                }
-
-                tracker.charge(iter_cost);
-            }
-        }
-
-        phases.budget_overshoot = tracker.overshoot();
-        SearchReport {
-            best_move: tree.best_move(self.config.final_move),
-            simulations,
-            iterations: tracker.iterations,
-            tree_nodes: tree.live_nodes() as u64,
-            max_depth: tree.max_depth(),
-            elapsed: tracker.elapsed,
-            root_stats: tree.root_stats(),
-            phases,
-        }
+        let s = &mut self.solo;
+        let mut engine = LeafEngine::new(
+            root,
+            s.config.clone(),
+            s.launch.blocks,
+            s.rng.clone(),
+            s.ledger(budget),
+        );
+        let report = s.run(&mut engine);
+        s.rng = engine.rng;
+        report
     }
 
     fn name(&self) -> String {
         format!(
             "leaf parallelism ({} blocks × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            self.solo.launch.blocks, self.solo.launch.threads_per_block
+        )
+    }
+}
+
+/// The leaf-parallel round: one tree, one selected node, every block of
+/// the grid simulating it.
+pub(crate) struct LeafEngine<G: Game> {
+    config: MctsConfig,
+    tree: SearchTree<G>,
+    rng: Xoshiro256pp,
+    blocks: u32,
+    ledger: Ledger,
+    pending: Option<Frontier<G>>,
+}
+
+impl<G: Game> LeafEngine<G> {
+    /// One tree searching `root`, its node simulated by `blocks` blocks.
+    pub(crate) fn new(
+        root: G,
+        config: MctsConfig,
+        blocks: u32,
+        rng: Xoshiro256pp,
+        ledger: Ledger,
+    ) -> Self {
+        LeafEngine {
+            tree: SearchTree::for_config(root, &config),
+            config,
+            rng,
+            blocks,
+            ledger,
+            pending: None,
+        }
+    }
+}
+
+impl<G: Game> RoundEngine<G> for LeafEngine<G> {
+    fn ledger(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        let tree = &mut self.tree;
+        if tree.is_terminal(tree.root()) {
+            return None;
+        }
+        let c = self.config.exploration_c;
+        let node = select_and_expand(tree, c, &mut self.rng, &mut self.ledger.phases);
+        let frontier = vec![(node, *tree.state(node), tree.depth(node))];
+        let mut request = PlayoutRequest::new(&frontier, &self.config.cpu_cost);
+        request.blocks = self.blocks;
+        self.pending = Some(frontier);
+        Some(request)
+    }
+
+    /// Every block's lanes land on the one node as a single batch; an
+    /// aborted block's lanes are void.
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        let (node, _, _) = self.pending.take().expect("no round in flight")[0];
+        let (mut wins_p1, mut n) = aggregate(lanes);
+        if let Some(b) = voided {
+            // Rewards are multiples of ½, so the subtraction is exact.
+            let tpb = lanes.len() / self.blocks as usize;
+            let (w, c) = aggregate(&lanes[b * tpb..(b + 1) * tpb]);
+            wins_p1 -= w;
+            n -= c;
+        }
+        self.tree.backprop(node, wins_p1, n);
+        self.ledger.phases.simulations += n;
+    }
+
+    fn degrade(&mut self) -> SimTime {
+        let frontier = self.pending.take().expect("no round in flight");
+        cpu_playouts(
+            std::slice::from_mut(&mut self.tree),
+            &frontier,
+            &mut self.rng,
+            &self.config.cpu_cost,
+            &mut self.ledger.phases,
+        )
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        report_from_trees(
+            &self.config,
+            std::slice::from_ref(&self.tree),
+            &self.ledger.tracker,
+            self.ledger.phases.clone(),
         )
     }
 }

@@ -81,6 +81,7 @@ pub mod tree;
 pub mod tree_aos;
 pub mod tree_parallel;
 pub mod ucb;
+mod wave;
 pub mod wu_uct;
 
 /// One-stop imports for applications and benches.
@@ -104,7 +105,7 @@ pub mod prelude {
     pub use crate::root_parallel::RootParallelSearcher;
     pub use crate::searcher::{SearchReport, Searcher};
     pub use crate::sequential::SequentialSearcher;
-    pub use crate::service::{CompletedSession, SearchService, SessionId};
+    pub use crate::service::{CompletedSession, SearchService, SessionId, SessionScheme};
     pub use crate::telemetry::PhaseBreakdown;
     pub use crate::transposition::{TransStats, TransTable};
     pub use crate::tree_parallel::TreeParallelSearcher;

@@ -11,7 +11,9 @@
 //! not been read back), then completes wave `k−1` and immediately launches
 //! wave `k`.
 //!
-//! Pricing under the seven-phase ledger: per round the critical path is
+//! `PipelinedEngine` is the block-parallel round with that deferred
+//! landing; it declares `overlaps`, so the solo
+//! driver of the `wave` module prices each round as
 //! `max(kernel of wave k−1, select/expand of wave k)`. The ledger charges
 //! the phases of whichever side is critical and records the hidden side's
 //! time as `overlap_saved` (with the host-side overlap also counted in
@@ -20,36 +22,30 @@
 //! drained after the budget expires and charged as wait time
 //! (`budget_overshoot` reports it), so no launched work is ever dropped.
 //!
-//! Faults break the pipeline: a hang detected at completion time is
-//! handled **serially** — charge the hang deadline, retry once with a
-//! fresh stream seed, degrade to one CPU playout per tree on a second
-//! hang — and that round's select/expand is charged serially too (no
-//! overlap credit; a real pipeline stalls on a fault). `BlockAbort` voids
-//! the aborted block's backpropagation as usual. Determinism is untouched:
-//! wave composition depends only on the launch schedule, never on thread
-//! timing, so reports are bit-identical for any host-thread count.
+//! Faults break the pipeline: a wave whose first launch hung runs the
+//! shared ladder (deadline, one retry with a fresh stream seed, CPU
+//! playouts on a second hang) and is billed **serially** together with the
+//! next round's select/expand — a real pipeline stalls on a fault. Its
+//! degraded playouts, like every landing, happen after the next wave's
+//! selection, since they draw from the engine RNG. Determinism is
+//! untouched: wave composition depends only on the launch schedule, never
+//! on thread timing, so reports are bit-identical for any host-thread
+//! count.
 
-use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
+use crate::block_parallel::{backprop_outputs, cpu_playouts, BlockEngine};
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::{LaneOutcome, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport, Searcher};
-use crate::telemetry::PhaseBreakdown;
-use crate::tree::SearchTree;
-use pmcts_games::{random_playout, Game, Player};
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig, WorkerPool};
-use pmcts_util::{SimTime, Xoshiro256pp};
-use std::sync::Arc;
+use crate::gpu::LaneOutcome;
+use crate::searcher::{SearchReport, Searcher};
+use crate::wave::{Frontier, Ledger, PlayoutRequest, RoundEngine, Solo, LANE_SEED_STEP};
+use pmcts_games::Game;
+use pmcts_gpu_sim::{Device, LaunchConfig};
+use pmcts_util::SimTime;
 
 /// Pipelined block-parallel searcher: select/expand of wave `k` overlaps
 /// the in-flight kernel of wave `k−1`.
 #[derive(Clone, Debug)]
 pub struct PipelinedSearcher<G: Game> {
-    config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    stream: u64,
-    rng: Xoshiro256pp,
-    epoch: u64,
+    solo: Solo,
     _game: std::marker::PhantomData<fn() -> G>,
 }
 
@@ -67,268 +63,122 @@ impl<G: Game> PipelinedSearcher<G> {
         launch: LaunchConfig,
         stream: u64,
     ) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0xF1FE ^ stream);
         PipelinedSearcher {
-            config,
-            device,
-            launch,
-            stream,
-            rng,
-            epoch: 0,
+            solo: Solo::new(config, device, launch, stream, 0xF1FE, LANE_SEED_STEP),
             _game: std::marker::PhantomData,
         }
     }
 
     /// The launch geometry (blocks = trees).
     pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
-    }
-
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.epoch.wrapping_mul(0xA076_1D64_78BD_642F))
-    }
-
-    /// Serial fault ladder for a wave whose first launch hung: charge the
-    /// hang deadline, retry once with a fresh stream seed (upload
-    /// recharged), and on a second hang degrade to one CPU playout per
-    /// tree. Returns the total virtual cost, with every component already
-    /// charged to the matching phase so the ledger stays exact.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_hung_wave(
-        &mut self,
-        trees: &mut [SearchTree<G>],
-        frontier: &[(u32, G, u32)],
-        first_elapsed: SimTime,
-        tpb: usize,
-        pool: &Arc<WorkerPool>,
-        phases: &mut PhaseBreakdown,
-        simulations: &mut u64,
-    ) -> SimTime {
-        let cpu = self.config.cpu_cost;
-        let plan = self.config.faults;
-        let deadline = plan.hang_deadline(first_elapsed);
-        phases.kernel += deadline;
-        phases.faults.injected += 1;
-        phases.faults.retried += 1;
-        let mut cost = deadline;
-
-        let kernel = PlayoutKernel::new(
-            frontier.iter().map(|&(_, s, _)| s).collect(),
-            self.next_stream_seed(),
-        );
-        let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-        let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-        let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-        phases.upload += cpu.launch_prep + upload;
-        cost += cpu.launch_prep + upload;
-
-        if result.fault == GpuFault::Hang {
-            let deadline = plan.hang_deadline(result.stats.elapsed());
-            phases.kernel += deadline;
-            cost += deadline;
-            phases.faults.injected += 1;
-            for (b, tree) in trees.iter_mut().enumerate() {
-                let playout = random_playout(frontier[b].1, &mut self.rng);
-                let playout_cost = cpu.playout(playout.plies);
-                phases.kernel += playout_cost;
-                cost += playout_cost;
-                tree.backprop(frontier[b].0, playout.reward_for(Player::P1), 1);
-                *simulations += 1;
-                phases.simulations += 1;
-                phases.faults.degraded += 1;
-            }
-            return cost;
-        }
-
-        let voided = void_of(result.fault, phases);
-        *simulations +=
-            backprop_outputs(trees, frontier, &result.outputs, tpb, voided, pool, phases);
-        phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-        phases.readback += result.stats.readback_time;
-        cost += result.stats.elapsed();
-        phases.record_launch(&result.stats);
-        cost
-    }
-}
-
-/// Translates a non-hang launch fault into the voided block (if any),
-/// folding the fault counters.
-fn void_of(fault: GpuFault, phases: &mut PhaseBreakdown) -> Option<usize> {
-    match fault {
-        GpuFault::BlockAbort(bad) => {
-            phases.faults.injected += 1;
-            phases.faults.degraded += 1;
-            Some(bad as usize)
-        }
-        f => {
-            if f != GpuFault::None {
-                phases.faults.injected += 1;
-            }
-            None
-        }
+        self.solo.launch
     }
 }
 
 impl<G: Game> Searcher<G> for PipelinedSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let blocks = self.launch.blocks as usize;
-        let tpb = self.launch.threads_per_block as usize;
-        let mut trees: Vec<SearchTree<G>> = (0..blocks)
-            .map(|_| SearchTree::for_config(root, &self.config))
-            .collect();
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        let cpu = self.config.cpu_cost;
-        let pool = Arc::clone(self.device.worker_pool());
-
-        if trees[0].is_terminal(0) {
-            return report_from_trees(&self.config, &trees, &tracker, 0, phases);
-        }
-
-        let plan = self.config.faults;
-        // The wave in flight: its frontier plus the pending launch handle.
-        type InFlight<G> = (
-            Vec<(u32, G, u32)>,
-            pmcts_gpu_sim::PendingLaunch<LaneOutcome>,
-        );
-        let mut pending: Option<InFlight<G>> = None;
-        while tracker.may_continue() {
-            let mut iter_cost = SimTime::ZERO;
-
-            // Stage 1 — select/expand wave k while wave k−1 (if any) is
-            // still in flight. Phase times land in `scratch` first: whether
-            // they appear in the breakdown depends on which side of the
-            // overlap turns out to be the critical path.
-            let mut scratch = PhaseBreakdown::new();
-            let (frontier, host_cost) = select_and_expand_all(
-                &mut trees,
-                &mut self.rng,
-                self.config.exploration_c,
-                &cpu,
-                &pool,
-                &mut scratch,
-            );
-
-            // Stage 2 — complete wave k−1.
-            if let Some((prev_frontier, launch)) = pending.take() {
-                let result = launch.wait();
-                if result.fault == GpuFault::Hang {
-                    // Fault breaks the pipeline: resolve the hung wave
-                    // serially, then charge this round's select/expand
-                    // serially too — no overlap credit on a stall.
-                    iter_cost += self.resolve_hung_wave(
-                        &mut trees,
-                        &prev_frontier,
-                        result.stats.elapsed(),
-                        tpb,
-                        &pool,
-                        &mut phases,
-                        &mut simulations,
-                    );
-                    phases.select += scratch.select;
-                    phases.expand += scratch.expand;
-                    iter_cost += host_cost;
-                } else {
-                    let voided = void_of(result.fault, &mut phases);
-                    simulations += backprop_outputs(
-                        &mut trees,
-                        &prev_frontier,
-                        &result.outputs,
-                        tpb,
-                        voided,
-                        &pool,
-                        &mut phases,
-                    );
-                    phases.record_launch(&result.stats);
-                    // Overlap pricing: charge the critical side's phases,
-                    // record the hidden side as saved.
-                    let gpu_side = result.stats.elapsed();
-                    if gpu_side >= host_cost {
-                        phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                        phases.readback += result.stats.readback_time;
-                        phases.overlap_saved += host_cost;
-                    } else {
-                        phases.select += scratch.select;
-                        phases.expand += scratch.expand;
-                        phases.overlap_saved += gpu_side;
-                    }
-                    phases.shadow_overlap += host_cost;
-                    iter_cost += gpu_side.max(host_cost);
-                }
-            } else {
-                // Pipeline is empty (first wave): nothing to overlap with,
-                // the select/expand cost is charged serially.
-                phases.select += scratch.select;
-                phases.expand += scratch.expand;
-                iter_cost += host_cost;
-            }
-            phases.absorb_counters(&scratch);
-
-            // Stage 3 — launch wave k asynchronously; it completes at the
-            // top of the next round (or in the drain below).
-            let kernel = Arc::new(PlayoutKernel::new(
-                frontier.iter().map(|&(_, s, _)| s).collect(),
-                self.next_stream_seed(),
-            ));
-            let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-            let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-            let launch = self
-                .device
-                .launch_async_with_fault(kernel, self.launch, fault);
-            phases.upload += cpu.launch_prep + upload;
-            iter_cost += cpu.launch_prep + upload;
-            pending = Some((frontier, launch));
-
-            tracker.charge(iter_cost);
-        }
-
-        // Drain — the budget expired with one wave still in flight. Its
-        // results are not dropped: complete it and charge the time as wait
-        // (`budget_overshoot` reports it; `iterations` is unaffected).
-        if let Some((prev_frontier, launch)) = pending.take() {
-            let result = launch.wait();
-            let cost = if result.fault == GpuFault::Hang {
-                self.resolve_hung_wave(
-                    &mut trees,
-                    &prev_frontier,
-                    result.stats.elapsed(),
-                    tpb,
-                    &pool,
-                    &mut phases,
-                    &mut simulations,
-                )
-            } else {
-                let voided = void_of(result.fault, &mut phases);
-                simulations += backprop_outputs(
-                    &mut trees,
-                    &prev_frontier,
-                    &result.outputs,
-                    tpb,
-                    voided,
-                    &pool,
-                    &mut phases,
-                );
-                phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                phases.readback += result.stats.readback_time;
-                phases.record_launch(&result.stats);
-                result.stats.elapsed()
-            };
-            tracker.charge_wait(cost);
-        }
-
-        report_from_trees(&self.config, &trees, &tracker, simulations, phases)
+        let s = &mut self.solo;
+        let mut engine = PipelinedEngine::new(BlockEngine::solo(s, root, budget));
+        let report = s.run(&mut engine);
+        s.rng = engine.block.rng;
+        report
     }
 
     fn name(&self) -> String {
         format!(
             "pipelined block-parallel ({} trees × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            self.solo.launch.blocks, self.solo.launch.threads_per_block
         )
+    }
+}
+
+/// How a launched wave landed, applied after the next wave's selection.
+enum Landing {
+    Lanes(Vec<LaneOutcome>, Option<usize>),
+    Degraded,
+}
+
+/// The pipelined round: a [`BlockEngine`] whose landings are deferred —
+/// round `k+1`'s selection runs before round `k`'s outcomes are applied,
+/// and `finish` flushes the last wave, so launched work is never dropped.
+pub(crate) struct PipelinedEngine<G: Game> {
+    block: BlockEngine<G>,
+    deferred: Option<(Frontier<G>, Landing)>,
+}
+
+impl<G: Game> PipelinedEngine<G> {
+    pub(crate) fn new(block: BlockEngine<G>) -> Self {
+        PipelinedEngine {
+            block,
+            deferred: None,
+        }
+    }
+
+    /// Applies the deferred landing; returns its CPU playout time.
+    fn flush(&mut self) -> SimTime {
+        let b = &mut self.block;
+        match self.deferred.take() {
+            Some((frontier, Landing::Lanes(lanes, voided))) => {
+                backprop_outputs(
+                    &mut b.trees,
+                    &frontier,
+                    &lanes,
+                    b.threads_per_block,
+                    voided,
+                    &b.pool,
+                    &mut b.ledger.phases,
+                );
+                SimTime::ZERO
+            }
+            Some((frontier, Landing::Degraded)) => cpu_playouts(
+                &mut b.trees,
+                &frontier,
+                &mut b.rng,
+                &b.config.cpu_cost,
+                &mut b.ledger.phases,
+            ),
+            None => SimTime::ZERO,
+        }
+    }
+
+    fn defer(&mut self, landing: Landing) {
+        let frontier = self.block.pending.take().expect("no round in flight");
+        self.deferred = Some((frontier, landing));
+    }
+}
+
+impl<G: Game> RoundEngine<G> for PipelinedEngine<G> {
+    fn ledger(&mut self) -> &mut Ledger {
+        &mut self.block.ledger
+    }
+
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        // Pipeline ordering: select from the trees as they stood before the
+        // previous wave landed, *then* land it.
+        let mut request = self.block.begin_round()?;
+        request.playouts = self.flush();
+        Some(request)
+    }
+
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        self.defer(Landing::Lanes(lanes.to_vec(), voided));
+    }
+
+    fn degrade(&mut self) -> SimTime {
+        self.defer(Landing::Degraded);
+        SimTime::ZERO
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        let playouts = self.flush();
+        let ledger = &mut self.block.ledger;
+        ledger.phases.kernel += playouts;
+        ledger.tracker.charge_wait(playouts);
+        self.block.finish()
+    }
+
+    fn overlaps(&self) -> bool {
+        true
     }
 }
 

@@ -103,40 +103,34 @@ impl<G: Game> SequentialSearcher<G> {
         phases: &mut PhaseBreakdown,
     ) -> u64 {
         let cost = self.config.cpu_cost;
-        let (node, depth) = self.select_and_expand(tree, phases);
+        let node = select_and_expand(tree, self.config.exploration_c, &mut self.rng, phases);
+        let depth = tree.depth(node);
         let result = random_playout(*tree.state(node), &mut self.rng);
-        let wins_p1 = result.reward_for(Player::P1);
-        tree.backprop(node, wins_p1, 1);
+        tree.backprop(node, result.reward_for(Player::P1), 1);
+        phases.select += cost.select_cost(depth);
+        phases.expand += cost.expand_cost();
         phases.kernel += cost.playout(result.plies);
         phases.simulations += 1;
         tracker.charge(cost.tree_op(depth) + cost.playout(result.plies));
         1
     }
+}
 
-    /// The host half of one iteration — selection plus (at most) one
-    /// expansion, charging the `select`/`expand` phases. Returns the node
-    /// to simulate and its depth. Shared between [`Self::one_iteration`]
-    /// (which follows with a CPU playout) and the multi-session search
-    /// service (which defers the playout to a batched device launch).
-    /// Draws at most one RNG value, exactly as `one_iteration` always has.
-    pub(crate) fn select_and_expand(
-        &mut self,
-        tree: &mut SearchTree<G>,
-        phases: &mut PhaseBreakdown,
-    ) -> (u32, u32) {
-        let cost = &self.config.cpu_cost;
-        let selected = tree.select(self.config.exploration_c);
-        let node = if !tree.fully_expanded(selected) {
-            phases.expansions += 1;
-            tree.expand(selected, &mut self.rng)
-        } else {
-            selected // terminal leaf: re-sample its outcome
-        };
-        let depth = tree.depth(node);
-        phases.select += cost.select_cost(depth);
-        phases.expand += cost.expand_cost();
-        (node, depth)
+/// Selection plus (at most) one expansion, drawing at most one RNG value;
+/// returns the node to simulate. Shared with leaf parallelism, which
+/// simulates the node on the device instead.
+pub(crate) fn select_and_expand<G: Game>(
+    tree: &mut SearchTree<G>,
+    exploration_c: f64,
+    rng: &mut Xoshiro256pp,
+    phases: &mut PhaseBreakdown,
+) -> u32 {
+    let selected = tree.select(exploration_c);
+    if tree.fully_expanded(selected) {
+        return selected; // terminal leaf: re-sample its outcome
     }
+    phases.expansions += 1;
+    tree.expand(selected, rng)
 }
 
 impl<G: Game> Searcher<G> for SequentialSearcher<G> {

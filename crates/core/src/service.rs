@@ -13,7 +13,9 @@
 //! backpropagation. One launch overhead and one device round-trip are
 //! amortised over every session, and the merged grid is large enough to
 //! saturate the SMs (the Fig. 5 plateau, across sessions instead of
-//! trees).
+//! trees). A session runs the same round engine as the matching solo
+//! searcher (the crate's `wave` module), so each scheme's round exists
+//! once.
 //!
 //! # Latency accounting
 //!
@@ -51,14 +53,25 @@
 //! from a monotone counter), wave packing in (deadline, session-id) order
 //! — both pure functions of admitted state, never of arrival or
 //! completion timing; host phases fan out over the device's
-//! [`WorkerPool`] with index-keyed folding; and
+//! [`WorkerPool`](pmcts_gpu_sim::WorkerPool) with index-keyed folding; and
 //! per-lane RNG streams derive from the service seed, the launch epoch and
 //! the lane's position in the merged grid. The same seed and the same
 //! admission sequence therefore produce byte-identical results for any
-//! `--host-threads` count. Fault injection is not applied on the service
-//! path (sessions model a trusted shared device; the fault matrix covers
-//! the standalone engines — the fleet layer injects *shard death* above
-//! the service).
+//! `--host-threads` count.
+//!
+//! # Faults
+//!
+//! Rounds launch through the same fault ladder as the solo searchers
+//! (`wave::Launcher::launch`), so every session honours its
+//! `MctsConfig::faults`. Each session draws its fault from its own plan on
+//! its own launch count (stream 0, exactly as a solo searcher built with
+//! `new` would). In the merged launch any session's hang stalls the whole
+//! wave — every member waits out the deadline, the wave retries once, and
+//! a second hang degrades every member to CPU playouts, each waiting on
+//! the others' like on host work — a slowdown stretches the merged kernel
+//! by the largest factor drawn, and an abort voids only its owner's block.
+//! The ledger identities hold on every path. The fleet layer injects
+//! *shard death* above the service.
 //!
 //! Per-session reports carry the full time-phase ledger
 //! (`phase_sum() == elapsed`, now including `queue`) and launch counts;
@@ -66,18 +79,16 @@
 //! grids and are recorded per launch in [`SearchService::launches`]
 //! rather than split across sessions.
 
-use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
+use crate::block_parallel::BlockEngine;
 use crate::config::{MctsConfig, SearchBudget};
-use crate::cost::CpuCostModel;
-use crate::gpu::{aggregate, LaneOutcome, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport};
-use crate::sequential::SequentialSearcher;
-use crate::telemetry::PhaseBreakdown;
-use crate::tree::SearchTree;
+use crate::leaf_parallel::LeafEngine;
+use crate::pipelined::PipelinedEngine;
+use crate::searcher::SearchReport;
+use crate::wave::{Launcher, Ledger, Member, RoundEngine};
+use crate::wu_uct::WuUctEngine;
 use pmcts_games::Game;
-use pmcts_gpu_sim::{BatchSegment, Device, WorkerPool};
+use pmcts_gpu_sim::{Device, LaunchConfig};
 use pmcts_util::{SimTime, Xoshiro256pp};
-use std::sync::Arc;
 
 /// Identity of one admitted search session. Ids are assigned from a
 /// monotone counter at admission and define the (deterministic) batching
@@ -91,394 +102,24 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// One session's playout work for the next batched round: the frontier
-/// positions to simulate (one per block the session owns in the merged
-/// grid) and the host-side cost of producing them.
-pub struct PlayoutRequest<G> {
-    /// Frontier positions, one per block.
-    pub positions: Vec<G>,
-    /// Virtual cost of this round's selection + expansion.
-    pub host_cost: SimTime,
-}
-
-/// How one batched round's shared latency lands on one session, as
-/// computed by the service (see the module docs): `queue` is the other
-/// sessions' host work plus launch preparation; `upload`/`kernel`/
-/// `readback` are the shared device-side components, identical for every
-/// participant of the round.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundLatency {
-    /// Waiting on the rest of the batch (zero for a solo session's rounds
-    /// minus the launch preparation).
-    pub queue: SimTime,
-    /// Launch preparation + host→device transfer of the merged roots.
-    pub upload: SimTime,
-    /// Launch overhead + device execution of the merged grid.
-    pub kernel: SimTime,
-    /// Device→host readback of the merged outputs.
-    pub readback: SimTime,
-}
-
-impl RoundLatency {
-    fn total(&self) -> SimTime {
-        self.queue + self.upload + self.kernel + self.readback
-    }
-}
-
-/// The steppable engine surface the service multiplexes: one round is
-/// `begin_round` (host selection/expansion → [`PlayoutRequest`]), an
-/// externally executed batched launch, then `complete_round` (backprop +
-/// budget charge). Implemented by the sequential- and block-tree session
-/// engines; the standalone searchers keep their lockstep loops.
-pub trait SessionEngine<G: Game>: Send {
-    /// Whether the session's budget admits another round.
-    fn wants_more(&self) -> bool;
-    /// Host half of the next round, or `None` when the root is terminal.
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>>;
-    /// Playout outcomes for this session's blocks (block-major lanes) and
-    /// the round's latency attribution; backpropagates and charges the
-    /// session's budget tracker.
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency);
-    /// Charges a round the session sat out (wave packing left it behind):
-    /// the whole round lands on the `queue` phase and on the budget
-    /// tracker, so waiting consumes a latency SLO without counting as an
-    /// iteration.
-    fn charge_wait(&mut self, wait: SimTime);
-    /// Builds the session's final report.
-    fn finish(&mut self) -> SearchReport<G::Move>;
-}
-
-/// Sequential-tree session: one tree, one block per round, the block's
-/// lanes are a leaf-parallel playout batch for the selected frontier node.
-/// Not bit-identical to [`SequentialSearcher`] (whose playouts run on the
-/// CPU model) — by design: the service trades the CPU playout for device
-/// lanes.
-struct SequentialSession<G: Game> {
-    inner: SequentialSearcher<G>,
-    tree: SearchTree<G>,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    /// Frontier node + host cost between `begin_round` and
-    /// `complete_round`.
-    pending: Option<(u32, SimTime)>,
-}
-
-impl<G: Game> SessionEngine<G> for SequentialSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.tree.is_terminal(self.tree.root()) {
-            return None;
-        }
-        let (node, depth) = self
-            .inner
-            .select_and_expand(&mut self.tree, &mut self.phases);
-        let host_cost = self.inner.config().cpu_cost.tree_op(depth);
-        self.pending = Some((node, host_cost));
-        Some(PlayoutRequest {
-            positions: vec![*self.tree.state(node)],
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (node, host_cost) = self.pending.take().expect("no round in flight");
-        let (wins_p1, n) = aggregate(lanes);
-        self.tree.backprop(node, wins_p1, n);
-        self.simulations += n;
-        self.phases.simulations += n;
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        let mut phases = self.phases.clone();
-        phases.budget_overshoot = self.tracker.overshoot();
-        SearchReport {
-            best_move: self.tree.best_move(self.inner.config().final_move),
-            simulations: self.simulations,
-            iterations: self.tracker.iterations,
-            tree_nodes: self.tree.live_nodes() as u64,
-            max_depth: self.tree.max_depth(),
-            elapsed: self.tracker.elapsed,
-            root_stats: self.tree.root_stats(),
-            phases,
-        }
-    }
-}
-
-/// Block-tree session: `B` independent trees, one block each per round —
-/// the block-parallel scheme's host phases (shared with
-/// [`crate::block_parallel`]), with the launch delegated to the service.
-struct BlockSession<G: Game> {
-    config: MctsConfig,
-    trees: Vec<SearchTree<G>>,
-    rng: Xoshiro256pp,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    pool: Arc<WorkerPool>,
-    threads_per_block: usize,
-    pending: Option<(BlockFrontier<G>, SimTime)>,
-}
-
-/// Per-round frontier of a block session: `(node, position, depth)` per
-/// block, as produced by `block_parallel::select_and_expand_all`.
-type BlockFrontier<G> = Vec<(u32, G, u32)>;
-
-impl<G: Game> SessionEngine<G> for BlockSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.trees[0].is_terminal(self.trees[0].root()) {
-            return None;
-        }
-        let (frontier, host_cost) = select_and_expand_all(
-            &mut self.trees,
-            &mut self.rng,
-            self.config.exploration_c,
-            &self.config.cpu_cost,
-            &self.pool,
-            &mut self.phases,
-        );
-        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
-        self.pending = Some((frontier, host_cost));
-        Some(PlayoutRequest {
-            positions,
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (frontier, host_cost) = self.pending.take().expect("no round in flight");
-        self.simulations += backprop_outputs(
-            &mut self.trees,
-            &frontier,
-            lanes,
-            self.threads_per_block,
-            None,
-            &self.pool,
-            &mut self.phases,
-        );
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        report_from_trees(
-            &self.config,
-            &self.trees,
-            &self.tracker,
-            self.simulations,
-            self.phases.clone(),
-        )
-    }
-}
-
-/// WU-UCT session: **one shared tree**, `B` blocks per round, selection
-/// corrected by in-flight unobserved counts — the service-hosted form of
-/// [`crate::wu_uct::WuUctSearcher`] (host phases shared with it). Between
-/// `begin_round` and `complete_round` the wave's `O` registrations are
-/// live on the tree; `complete_round` rolls them back exactly before
-/// backpropagating, so all counters are zero between rounds.
-struct WuUctSession<G: Game> {
-    config: MctsConfig,
-    tree: SearchTree<G>,
-    rng: Xoshiro256pp,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    blocks: usize,
-    threads_per_block: usize,
-    pending: Option<(BlockFrontier<G>, SimTime)>,
-}
-
-impl<G: Game> SessionEngine<G> for WuUctSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.tree.is_terminal(self.tree.root()) {
-            return None;
-        }
-        let (frontier, host_cost) = crate::wu_uct::select_wave(
-            &mut self.tree,
-            self.blocks,
-            self.threads_per_block as u32,
-            &mut self.rng,
-            self.config.exploration_c,
-            &self.config.cpu_cost,
-            &mut self.phases,
-        );
-        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
-        self.pending = Some((frontier, host_cost));
-        Some(PlayoutRequest {
-            positions,
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (frontier, host_cost) = self.pending.take().expect("no round in flight");
-        self.simulations += crate::wu_uct::backprop_wave(
-            &mut self.tree,
-            &frontier,
-            lanes,
-            self.threads_per_block,
-            None,
-            &mut self.phases,
-        );
-        debug_assert_eq!(
-            self.tree.inflight_total(),
-            0,
-            "in-flight residue after round"
-        );
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        report_from_trees(
-            &self.config,
-            std::slice::from_ref(&self.tree),
-            &self.tracker,
-            self.simulations,
-            self.phases.clone(),
-        )
-    }
-}
-
-/// Pipelined block-tree session: a [`BlockSession`] with **deferred
-/// backpropagation** — round `k+1`'s selection runs before round `k`'s
-/// outputs are applied, reproducing the pipeline hazard semantics of
-/// [`crate::pipelined::PipelinedSearcher`]. The service's shared device
-/// serialises rounds, so no latency is discounted: charging is identical
-/// to [`BlockSession`] (the `completed_at − admitted_at == elapsed`
-/// invariant is untouched); only the *ordering* of tree updates is
-/// pipelined. `finish` flushes the final deferred wave, so launched work
-/// is never dropped.
-struct PipelinedSession<G: Game> {
-    config: MctsConfig,
-    trees: Vec<SearchTree<G>>,
-    rng: Xoshiro256pp,
-    tracker: BudgetTracker,
-    phases: PhaseBreakdown,
-    simulations: u64,
-    pool: Arc<WorkerPool>,
-    threads_per_block: usize,
-    pending: Option<(BlockFrontier<G>, SimTime)>,
-    /// Last round's frontier + outputs, applied at the *next* round's
-    /// `begin_round` (after its selection) or at `finish`.
-    deferred: Option<(BlockFrontier<G>, Vec<LaneOutcome>)>,
-}
-
-impl<G: Game> PipelinedSession<G> {
-    fn flush_deferred(&mut self) {
-        if let Some((frontier, lanes)) = self.deferred.take() {
-            self.simulations += backprop_outputs(
-                &mut self.trees,
-                &frontier,
-                &lanes,
-                self.threads_per_block,
-                None,
-                &self.pool,
-                &mut self.phases,
-            );
-        }
-    }
-}
-
-impl<G: Game> SessionEngine<G> for PipelinedSession<G> {
-    fn wants_more(&self) -> bool {
-        self.tracker.may_continue()
-    }
-
-    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
-        assert!(self.pending.is_none(), "round already begun");
-        if self.trees[0].is_terminal(self.trees[0].root()) {
-            return None;
-        }
-        // Pipeline ordering: select from the trees as they stood before the
-        // previous round's results landed, *then* apply those results.
-        let (frontier, host_cost) = select_and_expand_all(
-            &mut self.trees,
-            &mut self.rng,
-            self.config.exploration_c,
-            &self.config.cpu_cost,
-            &self.pool,
-            &mut self.phases,
-        );
-        self.flush_deferred();
-        let positions = frontier.iter().map(|&(_, s, _)| s).collect();
-        self.pending = Some((frontier, host_cost));
-        Some(PlayoutRequest {
-            positions,
-            host_cost,
-        })
-    }
-
-    fn complete_round(&mut self, lanes: &[LaneOutcome], latency: &RoundLatency) {
-        let (frontier, host_cost) = self.pending.take().expect("no round in flight");
-        self.deferred = Some((frontier, lanes.to_vec()));
-        self.phases.queue += latency.queue;
-        self.phases.upload += latency.upload;
-        self.phases.kernel += latency.kernel;
-        self.phases.readback += latency.readback;
-        self.phases.kernel_launches += 1;
-        self.tracker.charge(host_cost + latency.total());
-    }
-
-    fn charge_wait(&mut self, wait: SimTime) {
-        self.phases.queue += wait;
-        self.tracker.charge_wait(wait);
-    }
-
-    fn finish(&mut self) -> SearchReport<G::Move> {
-        self.flush_deferred();
-        report_from_trees(
-            &self.config,
-            &self.trees,
-            &self.tracker,
-            self.simulations,
-            self.phases.clone(),
-        )
-    }
+/// The search scheme a session runs, with its blocks per round.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SessionScheme {
+    /// One tree, one block per round: the block's lanes are a
+    /// leaf-parallel batch for the selected node. Not bit-identical to
+    /// [`crate::sequential::SequentialSearcher`] (whose playouts run on the
+    /// CPU model) — by design: the service trades the CPU playout for
+    /// device lanes.
+    Sequential,
+    /// `n` independent trees, one block each (block parallelism).
+    Block(u32),
+    /// One shared tree, `n` corrected selections per round (WU-UCT,
+    /// DESIGN.md §16).
+    WuUct(u32),
+    /// `n` trees with deferred landing: round `k+1` selects before round
+    /// `k`'s results land (DESIGN.md §16). The shared device serialises
+    /// rounds, so no latency is discounted.
+    Pipelined(u32),
 }
 
 /// One admitted session's lifecycle record, returned by
@@ -513,21 +154,17 @@ struct Session<G: Game> {
     /// Absolute SLO deadline on the service clock (`admitted_at + slo`).
     /// `None` sorts after every deadline in wave packing.
     deadline: Option<SimTime>,
-    engine: Box<dyn SessionEngine<G>>,
+    engine: Box<dyn RoundEngine<G>>,
 }
 
 /// The multi-session search service (see the module docs).
 pub struct SearchService<G: Game> {
-    device: Device,
+    launcher: Launcher,
     threads_per_block: u32,
-    seed: u64,
-    launch_prep: SimTime,
-    epoch: u64,
     clock: SimTime,
     next_id: u64,
     active: Vec<Session<G>>,
     completed: Vec<CompletedSession<G::Move>>,
-    launches: Vec<LaunchRecord>,
 }
 
 impl<G: Game> SearchService<G> {
@@ -537,173 +174,51 @@ impl<G: Game> SearchService<G> {
     /// at the Xeon model's rate (same as the standalone GPU searchers).
     pub fn new(device: Device, threads_per_block: u32, seed: u64) -> Self {
         SearchService {
-            device,
+            launcher: Launcher::shared(device, threads_per_block, seed),
             threads_per_block,
-            seed,
-            launch_prep: CpuCostModel::xeon_x5670().launch_prep,
-            epoch: 0,
             clock: SimTime::ZERO,
             next_id: 0,
             active: Vec::new(),
             completed: Vec::new(),
-            launches: Vec::new(),
         }
     }
 
-    /// Admits a sequential-tree session (one block per round) searching
-    /// `root` under `budget`. The session joins the next round.
-    pub fn admit_sequential(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-    ) -> SessionId {
-        self.admit_sequential_with_slo(root, budget, config, None)
-    }
-
-    /// [`Self::admit_sequential`] with a latency SLO: wave packing
-    /// ([`Self::step_wave`]) schedules the session by the absolute deadline
+    /// Admits a session running `scheme` on `root` under `budget`; it
+    /// joins the next round. With a latency `slo`, wave packing
+    /// ([`Self::step_wave`]) schedules it by the absolute deadline
     /// `clock + slo`, ahead of every deadline-free session.
-    pub fn admit_sequential_with_slo(
+    pub fn admit(
         &mut self,
         root: G,
         budget: SearchBudget,
         config: MctsConfig,
+        scheme: SessionScheme,
         slo: Option<SimTime>,
     ) -> SessionId {
-        let engine = SequentialSession {
-            tree: SearchTree::for_config(root, &config),
-            inner: SequentialSearcher::new(config),
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            pending: None,
+        let (blocks, salt) = match scheme {
+            SessionScheme::Sequential => (1, 0),
+            SessionScheme::Block(n) | SessionScheme::WuUct(n) => (n, 0xB10C),
+            SessionScheme::Pipelined(n) => (n, 0xF1FE),
         };
-        self.admit(Box::new(engine), slo)
-    }
-
-    /// Admits a block-tree session (`blocks` trees, one block each per
-    /// round) searching `root` under `budget`.
-    pub fn admit_block(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-    ) -> SessionId {
-        self.admit_block_with_slo(root, budget, config, blocks, None)
-    }
-
-    /// [`Self::admit_block`] with a latency SLO (see
-    /// [`Self::admit_sequential_with_slo`]).
-    pub fn admit_block_with_slo(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-        slo: Option<SimTime>,
-    ) -> SessionId {
-        assert!(blocks >= 1, "block session needs ≥ 1 tree");
-        let rng = Xoshiro256pp::derive(config.seed, 0xB10C);
-        let engine = BlockSession {
-            trees: (0..blocks)
-                .map(|_| SearchTree::for_config(root, &config))
-                .collect(),
-            rng,
-            config,
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            pool: Arc::clone(self.device.worker_pool()),
-            threads_per_block: self.threads_per_block as usize,
-            pending: None,
+        assert!(blocks >= 1, "a session needs ≥ 1 block");
+        let launch = LaunchConfig::new(blocks, self.threads_per_block);
+        let rng = Xoshiro256pp::derive(config.seed, salt);
+        let ledger = Ledger::new(budget, config.faults, 0, 0);
+        let engine: Box<dyn RoundEngine<G>> = match scheme {
+            SessionScheme::Sequential => Box::new(LeafEngine::new(root, config, 1, rng, ledger)),
+            SessionScheme::WuUct(_) => {
+                Box::new(WuUctEngine::new(root, config, launch, rng, ledger))
+            }
+            _ => {
+                let pool = std::sync::Arc::clone(self.launcher.device.worker_pool());
+                let block = BlockEngine::new(root, config, launch, pool, rng, ledger);
+                if matches!(scheme, SessionScheme::Pipelined(_)) {
+                    Box::new(PipelinedEngine::new(block))
+                } else {
+                    Box::new(block)
+                }
+            }
         };
-        self.admit(Box::new(engine), slo)
-    }
-
-    /// Admits a WU-UCT session: **one shared tree**, `blocks` corrected
-    /// selections per round (DESIGN.md §16), searching `root` under
-    /// `budget`.
-    pub fn admit_wu_uct(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-    ) -> SessionId {
-        self.admit_wu_uct_with_slo(root, budget, config, blocks, None)
-    }
-
-    /// [`Self::admit_wu_uct`] with a latency SLO (see
-    /// [`Self::admit_sequential_with_slo`]).
-    pub fn admit_wu_uct_with_slo(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-        slo: Option<SimTime>,
-    ) -> SessionId {
-        assert!(blocks >= 1, "WU-UCT session needs ≥ 1 block");
-        let rng = Xoshiro256pp::derive(config.seed, 0xB10C);
-        let engine = WuUctSession {
-            tree: SearchTree::for_config(root, &config),
-            rng,
-            config,
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            blocks: blocks as usize,
-            threads_per_block: self.threads_per_block as usize,
-            pending: None,
-        };
-        self.admit(Box::new(engine), slo)
-    }
-
-    /// Admits a pipelined block-tree session: `blocks` trees with deferred
-    /// backpropagation — round `k+1` selects before round `k`'s results
-    /// land (DESIGN.md §16) — searching `root` under `budget`.
-    pub fn admit_pipelined(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-    ) -> SessionId {
-        self.admit_pipelined_with_slo(root, budget, config, blocks, None)
-    }
-
-    /// [`Self::admit_pipelined`] with a latency SLO (see
-    /// [`Self::admit_sequential_with_slo`]).
-    pub fn admit_pipelined_with_slo(
-        &mut self,
-        root: G,
-        budget: SearchBudget,
-        config: MctsConfig,
-        blocks: u32,
-        slo: Option<SimTime>,
-    ) -> SessionId {
-        assert!(blocks >= 1, "pipelined session needs ≥ 1 tree");
-        let rng = Xoshiro256pp::derive(config.seed, 0xF1FE);
-        let engine = PipelinedSession {
-            trees: (0..blocks)
-                .map(|_| SearchTree::for_config(root, &config))
-                .collect(),
-            rng,
-            config,
-            tracker: BudgetTracker::new(budget),
-            phases: PhaseBreakdown::new(),
-            simulations: 0,
-            pool: Arc::clone(self.device.worker_pool()),
-            threads_per_block: self.threads_per_block as usize,
-            pending: None,
-            deferred: None,
-        };
-        self.admit(Box::new(engine), slo)
-    }
-
-    fn admit(&mut self, engine: Box<dyn SessionEngine<G>>, slo: Option<SimTime>) -> SessionId {
         let id = SessionId(self.next_id);
         self.next_id += 1;
         self.active.push(Session {
@@ -716,7 +231,7 @@ impl<G: Game> SearchService<G> {
     }
 
     /// Runs one batched round: retires exhausted sessions, collects every
-    /// remaining session's [`PlayoutRequest`] in session-id order, packs
+    /// remaining session's playout request in session-id order, packs
     /// them into one kernel launch, and completes each session with its
     /// output slice and latency share. Returns `false` when no launch ran
     /// (no session had work left). Equivalent to
@@ -735,141 +250,106 @@ impl<G: Game> SearchService<G> {
     /// when no launch ran.
     pub fn step_wave(&mut self, limit: usize) -> bool {
         assert!(limit >= 1, "a wave admits at least one session");
-        let clock = self.clock;
         // Retire pass, in session-id order (admission order — ids are
         // monotone and `active` is never reordered): budget-exhausted
         // sessions leave before wave packing, including sessions that
         // spent their whole budget waiting.
-        let mut survivors: Vec<Session<G>> = Vec::new();
         for mut session in std::mem::take(&mut self.active) {
-            if session.engine.wants_more() {
-                survivors.push(session);
+            if session.engine.ledger().tracker.may_continue() {
+                self.active.push(session);
             } else {
-                self.completed.push(CompletedSession {
-                    id: session.id,
-                    admitted_at: session.admitted_at,
-                    completed_at: clock,
-                    report: session.engine.finish(),
-                });
+                self.retire(session);
             }
         }
 
         // Wave packing: earliest deadline first, ties (and the
         // deadline-free) by session id — with `limit == usize::MAX` this
         // degenerates to the legacy all-sessions id-order round.
-        let mut order: Vec<usize> = (0..survivors.len()).collect();
+        let mut order: Vec<usize> = (0..self.active.len()).collect();
         order.sort_by_key(|&i| {
-            (
-                survivors[i].deadline.unwrap_or(SimTime::MAX),
-                survivors[i].id,
-            )
+            let s = &self.active[i];
+            (s.deadline.unwrap_or(SimTime::MAX), s.id)
         });
-        enum Slot<G> {
-            Waiting,
-            Armed(PlayoutRequest<G>),
-            Retire,
-        }
-        let mut slots: Vec<Slot<G>> = survivors.iter().map(|_| Slot::Waiting).collect();
+        let mut requests: Vec<Option<_>> = self.active.iter().map(|_| None).collect();
+        let mut terminal = vec![false; self.active.len()];
         let mut packed = 0usize;
         for &i in &order {
             if packed == limit {
                 break;
             }
-            match survivors[i].engine.begin_round() {
+            match self.active[i].engine.begin_round() {
                 Some(r) => {
-                    slots[i] = Slot::Armed(r);
+                    requests[i] = Some(r);
                     packed += 1;
                 }
-                None => slots[i] = Slot::Retire,
+                None => terminal[i] = true,
             }
         }
 
-        // Re-assemble `active` in id order; terminal-root sessions retire.
-        let mut armed: Vec<(usize, PlayoutRequest<G>)> = Vec::new();
-        let mut waiting: Vec<usize> = Vec::new();
-        let mut still: Vec<Session<G>> = Vec::new();
-        for (mut session, slot) in survivors.into_iter().zip(slots) {
-            match slot {
-                Slot::Retire => self.completed.push(CompletedSession {
-                    id: session.id,
-                    admitted_at: session.admitted_at,
-                    completed_at: clock,
-                    report: session.engine.finish(),
-                }),
-                Slot::Armed(r) => {
-                    armed.push((still.len(), r));
-                    still.push(session);
-                }
-                Slot::Waiting => {
-                    waiting.push(still.len());
-                    still.push(session);
-                }
+        // Terminal-root sessions retire; `active` stays in id order.
+        let mut armed = Vec::new();
+        for ((session, request), done) in std::mem::take(&mut self.active)
+            .into_iter()
+            .zip(requests)
+            .zip(terminal)
+        {
+            if done {
+                self.retire(session);
+            } else {
+                self.active.push(session);
+                armed.push(request);
             }
         }
-        self.active = still;
-        if armed.is_empty() {
+        let waiting: Vec<bool> = armed.iter().map(Option::is_none).collect();
+        if waiting.iter().all(|&w| w) {
             // Nothing to launch; the packing loop ran out of candidates,
             // so nothing is waiting either.
             debug_assert!(waiting.is_empty());
             return false;
         }
 
-        // One merged launch: wave member i's blocks are consecutive, in
-        // session-id order. The lane RNG streams derive from the service
-        // seed, the launch epoch and the lane's global index.
-        let segments: Vec<BatchSegment> = armed
-            .iter()
-            .map(|(i, r)| BatchSegment {
-                key: self.active[*i].id.0,
-                blocks: r.positions.len() as u32,
+        // One merged launch: wave members' blocks are consecutive, in
+        // session-id order. Every member observes the same round latency
+        // (its own host work plus everyone else's as `queue`, then the
+        // shared device side), and sessions the wave left behind are
+        // charged the whole round as queueing.
+        let mut wave: Vec<Member<'_, G>> = self
+            .active
+            .iter_mut()
+            .zip(armed)
+            .filter_map(|(s, request)| {
+                Some(Member {
+                    engine: &mut *s.engine,
+                    request: request?,
+                })
             })
             .collect();
-        let roots: Vec<G> = armed
-            .iter()
-            .flat_map(|(_, r)| r.positions.iter().copied())
-            .collect();
-        self.epoch += 1;
-        let stream_seed = self
-            .seed
-            .wrapping_add(self.epoch.wrapping_mul(0xA076_1D64_78BD_642F));
-        let kernel = PlayoutKernel::new(roots, stream_seed);
-        let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-        let batched = self
-            .device
-            .launch_batched(&kernel, self.threads_per_block, &segments);
-        let stats = &batched.result.stats;
-
-        // Shared round components; each wave member's `queue` is everyone
-        // else's host work, so every participant sees the same round
-        // latency (see the module docs) — and sessions the wave left
-        // behind are charged the whole round as queueing.
-        let total_host = armed
-            .iter()
-            .fold(SimTime::ZERO, |acc, (_, r)| acc + r.host_cost);
-        let upload_phase = self.launch_prep + upload;
-        let kernel_phase = stats.launch_overhead + stats.device_time;
-        let round_total = total_host + upload_phase + kernel_phase + stats.readback_time;
-        for (slot, (i, r)) in armed.iter().enumerate() {
-            let latency = RoundLatency {
-                queue: total_host.saturating_sub(r.host_cost),
-                upload: upload_phase,
-                kernel: kernel_phase,
-                readback: stats.readback_time,
-            };
-            self.active[*i]
+        let latency = self.launcher.launch(&mut wave).latency;
+        let mut round = SimTime::ZERO;
+        for (m, lat) in wave.iter_mut().zip(&latency) {
+            round = m
                 .engine
-                .complete_round(batched.outputs_for(slot), &latency);
+                .ledger()
+                .charge_round(m.request.host, m.request.playouts, lat);
         }
-        for &i in &waiting {
-            self.active[i].engine.charge_wait(round_total);
+        for (s, _) in self.active.iter_mut().zip(waiting).filter(|(_, w)| *w) {
+            s.engine.ledger().charge_wait(round);
         }
-        self.launches.push(LaunchRecord {
-            sessions: segments.len() as u32,
-            blocks: segments.iter().map(|s| s.blocks).sum(),
-            elapsed: stats.elapsed(),
-        });
-        self.clock += round_total;
+        self.clock += round;
         true
+    }
+
+    /// Retires a session at the current clock. A pipelined session lands
+    /// its last wave in `finish`; CPU time spent there extends it.
+    fn retire(&mut self, mut session: Session<G>) {
+        let waited = session.engine.ledger().tracker.elapsed;
+        let report = session.engine.finish();
+        self.completed.push(CompletedSession {
+            id: session.id,
+            admitted_at: session.admitted_at,
+            completed_at: self.clock + (report.elapsed - waited),
+            report,
+        });
     }
 
     /// Steps until every admitted session has retired (the final, launch-
@@ -896,9 +376,15 @@ impl<G: Game> SearchService<G> {
         self.active.len()
     }
 
+    /// Unobserved in-flight playouts registered on the active sessions'
+    /// trees: zero between rounds, whatever each round's landing was.
+    pub fn inflight(&self) -> u64 {
+        self.active.iter().map(|s| s.engine.inflight()).sum()
+    }
+
     /// Every batched launch performed so far, in launch order.
     pub fn launches(&self) -> &[LaunchRecord] {
-        &self.launches
+        self.launcher.records()
     }
 }
 
@@ -920,10 +406,12 @@ mod tests {
     fn solo_session_completes_within_one_round_of_deadline() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 99);
         let budget = SimTime::from_millis(5);
-        svc.admit_sequential(
+        svc.admit(
             Reversi::initial(),
             SearchBudget::VirtualTime(budget),
             cfg(1),
+            SessionScheme::Sequential,
+            None,
         );
         svc.run_to_completion();
         let done = svc.take_completed();
@@ -948,10 +436,12 @@ mod tests {
     fn sessions_share_batched_launches() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 7);
         for s in 0..4 {
-            svc.admit_sequential(
+            svc.admit(
                 Reversi::initial(),
                 SearchBudget::Iterations(3),
                 cfg(100 + s),
+                SessionScheme::Sequential,
+                None,
             );
         }
         svc.run_to_completion();
@@ -972,8 +462,20 @@ mod tests {
     #[test]
     fn phase_ledger_is_exact_including_queue() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 3);
-        svc.admit_sequential(Reversi::initial(), SearchBudget::Iterations(4), cfg(1));
-        svc.admit_block(Reversi::initial(), SearchBudget::Iterations(2), cfg(2), 3);
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(1),
+            SessionScheme::Sequential,
+            None,
+        );
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(2),
+            cfg(2),
+            SessionScheme::Block(3),
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         assert_eq!(done.len(), 2);
@@ -1000,7 +502,13 @@ mod tests {
             if batched {
                 let mut svc = SearchService::<Reversi>::new(device(), 32, 5);
                 for s in 0..8 {
-                    svc.admit_sequential(Reversi::initial(), budget, cfg(s));
+                    svc.admit(
+                        Reversi::initial(),
+                        budget,
+                        cfg(s),
+                        SessionScheme::Sequential,
+                        None,
+                    );
                 }
                 svc.run_to_completion();
                 sims = svc
@@ -1012,7 +520,13 @@ mod tests {
             } else {
                 for s in 0..8 {
                     let mut svc = SearchService::<Reversi>::new(device(), 32, 5);
-                    svc.admit_sequential(Reversi::initial(), budget, cfg(s));
+                    svc.admit(
+                        Reversi::initial(),
+                        budget,
+                        cfg(s),
+                        SessionScheme::Sequential,
+                        None,
+                    );
                     svc.run_to_completion();
                     sims += svc.take_completed()[0].report.simulations;
                     time += svc.clock();
@@ -1033,9 +547,27 @@ mod tests {
     #[test]
     fn wu_uct_and_pipelined_sessions_complete_with_exact_ledgers() {
         let mut svc = SearchService::<Reversi>::new(device(), 32, 11);
-        svc.admit_wu_uct(Reversi::initial(), SearchBudget::Iterations(4), cfg(1), 4);
-        svc.admit_pipelined(Reversi::initial(), SearchBudget::Iterations(4), cfg(2), 4);
-        svc.admit_block(Reversi::initial(), SearchBudget::Iterations(4), cfg(3), 4);
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(1),
+            SessionScheme::WuUct(4),
+            None,
+        );
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(2),
+            SessionScheme::Pipelined(4),
+            None,
+        );
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(4),
+            cfg(3),
+            SessionScheme::Block(4),
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         assert_eq!(done.len(), 3);
@@ -1060,7 +592,13 @@ mod tests {
         // round land in a single tree than any one of a block session's
         // B independent trees receives.
         let mut svc = SearchService::<Reversi>::new(device(), 32, 12);
-        let id = svc.admit_wu_uct(Reversi::initial(), SearchBudget::Iterations(6), cfg(4), 8);
+        let id = svc.admit(
+            Reversi::initial(),
+            SearchBudget::Iterations(6),
+            cfg(4),
+            SessionScheme::WuUct(8),
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         let c = done.iter().find(|c| c.id == id).unwrap();
@@ -1072,8 +610,20 @@ mod tests {
     fn new_engines_are_deterministic_per_seed() {
         let run = |seed| {
             let mut svc = SearchService::<Reversi>::new(device(), 32, seed);
-            svc.admit_wu_uct(Reversi::initial(), SearchBudget::Iterations(5), cfg(21), 4);
-            svc.admit_pipelined(Reversi::initial(), SearchBudget::Iterations(5), cfg(22), 4);
+            svc.admit(
+                Reversi::initial(),
+                SearchBudget::Iterations(5),
+                cfg(21),
+                SessionScheme::WuUct(4),
+                None,
+            );
+            svc.admit(
+                Reversi::initial(),
+                SearchBudget::Iterations(5),
+                cfg(22),
+                SessionScheme::Pipelined(4),
+                None,
+            );
             svc.run_to_completion();
             svc.take_completed()
                 .into_iter()
@@ -1088,7 +638,13 @@ mod tests {
     fn terminal_root_retires_immediately() {
         let s = TicTacToe::parse("XXX OO. ...", pmcts_games::Player::P2).unwrap();
         let mut svc = SearchService::<TicTacToe>::new(device(), 32, 1);
-        svc.admit_sequential(s, SearchBudget::Iterations(10), cfg(1));
+        svc.admit(
+            s,
+            SearchBudget::Iterations(10),
+            cfg(1),
+            SessionScheme::Sequential,
+            None,
+        );
         svc.run_to_completion();
         let done = svc.take_completed();
         assert_eq!(done.len(), 1);
@@ -1102,7 +658,13 @@ mod tests {
         let run = |seed| {
             let mut svc = SearchService::<Reversi>::new(device(), 32, seed);
             for s in 0..3 {
-                svc.admit_sequential(Reversi::initial(), SearchBudget::Iterations(5), cfg(10 + s));
+                svc.admit(
+                    Reversi::initial(),
+                    SearchBudget::Iterations(5),
+                    cfg(10 + s),
+                    SessionScheme::Sequential,
+                    None,
+                );
             }
             svc.run_to_completion();
             svc.take_completed()

@@ -18,10 +18,10 @@ use crate::searcher::{SearchReport, Searcher};
 use crate::telemetry::{critical_index, PhaseBreakdown};
 use crate::tree::SearchTree;
 use crate::ucb::ucb1;
-use parking_lot::Mutex;
 use pmcts_games::{random_playout, Game, Player};
 use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Shared-tree CPU searcher with virtual loss.
 #[derive(Clone, Debug)]
@@ -117,15 +117,15 @@ impl<G: Game> Searcher<G> for TreeParallelSearcher<G> {
         let vl = self.virtual_loss;
         let gen = self.generation;
 
-        let terminal = tree.lock().is_terminal(0);
+        let terminal = tree.lock().expect("tree lock poisoned").is_terminal(0);
         let mut worker_results: Vec<(SimTime, PhaseBreakdown)> = Vec::new();
         if !terminal {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..self.threads)
                     .map(|w| {
                         let tree = &tree;
                         let iterations = &iterations;
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut rng = Xoshiro256pp::derive(
                                 config.seed,
                                 0x7EEE ^ (w as u64) ^ (gen << 32),
@@ -151,7 +151,7 @@ impl<G: Game> Searcher<G> for TreeParallelSearcher<G> {
                                     }
                                 }
                                 let (node, path, expanded) = {
-                                    let mut t = tree.lock();
+                                    let mut t = tree.lock().expect("tree lock poisoned");
                                     Self::select_and_mark(
                                         &mut t,
                                         config.exploration_c,
@@ -160,13 +160,13 @@ impl<G: Game> Searcher<G> for TreeParallelSearcher<G> {
                                     )
                                 };
                                 let (state, depth) = {
-                                    let t = tree.lock();
+                                    let t = tree.lock().expect("tree lock poisoned");
                                     (*t.state(node), t.depth(node))
                                 };
                                 let result = random_playout(state, &mut rng);
                                 let wins_p1 = result.reward_for(Player::P1);
                                 {
-                                    let mut t = tree.lock();
+                                    let mut t = tree.lock().expect("tree lock poisoned");
                                     Self::unmark_and_backprop(&mut t, &path, vl, wins_p1);
                                 }
                                 elapsed += cpu.tree_op(depth) + cpu.playout(result.plies);
@@ -183,8 +183,7 @@ impl<G: Game> Searcher<G> for TreeParallelSearcher<G> {
                 for h in handles {
                     worker_results.push(h.join().expect("tree-parallel worker panicked"));
                 }
-            })
-            .expect("tree-parallel scope failed");
+            });
         }
 
         // Workers run concurrently: elapsed = the slowest worker, phase
@@ -200,7 +199,7 @@ impl<G: Game> Searcher<G> for TreeParallelSearcher<G> {
             phases.adopt_times(&worker_results[i].1);
         }
 
-        let tree = tree.into_inner();
+        let tree = tree.into_inner().expect("tree lock poisoned");
         let iterations = iterations.load(Ordering::Relaxed);
         let elapsed = crit.map(|i| worker_results[i].0).unwrap_or(SimTime::ZERO);
         phases.budget_overshoot = crate::searcher::overshoot_of(budget, elapsed);

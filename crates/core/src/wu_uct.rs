@@ -30,36 +30,31 @@
 //! the whole report is bit-identical to [`BlockParallelSearcher`]'s — the
 //! zero-width oracle the tests pin.
 //!
-//! Fault ladder (same as block parallelism): a hung kernel is charged to
-//! its hang deadline and retried once; a second hang degrades the wave to
-//! one CPU playout per block. A `BlockAbort` voids the aborted block's
-//! backpropagation. In every case — clean, voided, or degraded — each
-//! block's in-flight registration is rolled back exactly once, so all `O`
-//! counters are zero after every wave (the residue invariant).
+//! The round is `WuUctEngine`, run by the shared launch path of
+//! the `wave` module and its fault ladder. In every landing — clean, voided
+//! or degraded — each block's in-flight registration is rolled back
+//! exactly once, so all `O` counters are zero after every wave (the
+//! residue invariant).
 //!
 //! [`BlockParallelSearcher`]: crate::block_parallel::BlockParallelSearcher
 //! [`ucb1_corrected_with_ln`]: crate::ucb::ucb1_corrected_with_ln
 
+use crate::block_parallel::{cpu_playouts, report_from_trees};
 use crate::config::{MctsConfig, SearchBudget};
-use crate::cost::CpuCostModel;
-use crate::gpu::{aggregate, LaneOutcome, PlayoutKernel};
-use crate::searcher::{BudgetTracker, SearchReport, Searcher};
+use crate::gpu::{aggregate, LaneOutcome};
+use crate::searcher::{SearchReport, Searcher};
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
-use pmcts_games::{random_playout, Game, Player};
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
+use crate::wave::{Frontier, Ledger, PlayoutRequest, RoundEngine, Solo, LANE_SEED_STEP};
+use pmcts_games::Game;
+use pmcts_gpu_sim::{Device, LaunchConfig};
 use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
 
 /// WU-UCT searcher: one shared tree, `B` in-flight batches per wave,
 /// selection corrected by unobserved counts.
 #[derive(Clone, Debug)]
 pub struct WuUctSearcher<G: Game> {
-    config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    stream: u64,
-    rng: Xoshiro256pp,
-    epoch: u64,
+    solo: Solo,
     _game: std::marker::PhantomData<fn() -> G>,
 }
 
@@ -81,144 +76,140 @@ impl<G: Game> WuUctSearcher<G> {
         launch: LaunchConfig,
         stream: u64,
     ) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0xB10C ^ stream);
         WuUctSearcher {
-            config,
-            device,
-            launch,
-            stream,
-            rng,
-            epoch: 0,
+            solo: Solo::new(config, device, launch, stream, 0xB10C, LANE_SEED_STEP),
             _game: std::marker::PhantomData,
         }
     }
 
     /// The launch geometry (blocks = concurrent in-flight batches).
     pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
+        self.solo.launch
     }
 
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(self.epoch.wrapping_mul(0xA076_1D64_78BD_642F))
+    fn engine(&self, root: G, budget: SearchBudget) -> WuUctEngine<G> {
+        let s = &self.solo;
+        WuUctEngine::new(
+            root,
+            s.config.clone(),
+            s.launch,
+            s.rng.clone(),
+            s.ledger(budget),
+        )
+    }
+}
+
+impl<G: Game> Searcher<G> for WuUctSearcher<G> {
+    fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
+        let mut engine = self.engine(root, budget);
+        let report = self.solo.run(&mut engine);
+        self.solo.rng = engine.rng;
+        report
     }
 
-    /// Runs the search, returning the shared tree for callers that need it
-    /// (the residue tests). Public API users call `Searcher::search`.
-    pub(crate) fn search_tree(
-        &mut self,
+    fn name(&self) -> String {
+        format!(
+            "WU-UCT ({} batches × {} threads, shared tree)",
+            self.solo.launch.blocks, self.solo.launch.threads_per_block
+        )
+    }
+}
+
+/// The WU-UCT round: `B` corrected selections on one shared tree. Between
+/// `begin_round` and the landing the wave's `O` registrations are live on
+/// the tree; every landing rolls them back exactly.
+pub(crate) struct WuUctEngine<G: Game> {
+    config: MctsConfig,
+    tree: SearchTree<G>,
+    rng: Xoshiro256pp,
+    blocks: usize,
+    threads_per_block: u32,
+    ledger: Ledger,
+    pending: Option<Frontier<G>>,
+}
+
+impl<G: Game> WuUctEngine<G> {
+    /// `launch.blocks` batches a wave on one tree searching `root`.
+    pub(crate) fn new(
         root: G,
-        budget: SearchBudget,
-    ) -> (SearchTree<G>, BudgetTracker, u64, PhaseBreakdown) {
-        let blocks = self.launch.blocks as usize;
-        let tpb = self.launch.threads_per_block as usize;
-        let mut tree = SearchTree::for_config(root, &self.config);
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        let cpu = self.config.cpu_cost;
-        let exploration_c = self.config.exploration_c;
-
-        if tree.is_terminal(tree.root()) {
-            return (tree, tracker, 0, phases);
+        config: MctsConfig,
+        launch: LaunchConfig,
+        rng: Xoshiro256pp,
+        ledger: Ledger,
+    ) -> Self {
+        WuUctEngine {
+            tree: SearchTree::for_config(root, &config),
+            config,
+            rng,
+            blocks: launch.blocks as usize,
+            threads_per_block: launch.threads_per_block,
+            ledger,
+            pending: None,
         }
+    }
+}
 
-        let plan = self.config.faults;
-        while tracker.may_continue() {
-            let mut iter_cost = SimTime::ZERO;
-            let (frontier, host_cost) = select_wave(
-                &mut tree,
-                blocks,
-                tpb as u32,
-                &mut self.rng,
-                exploration_c,
-                &cpu,
-                &mut phases,
-            );
-            iter_cost += host_cost;
+impl<G: Game> RoundEngine<G> for WuUctEngine<G> {
+    fn ledger(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
 
-            // One launch simulates every batch's frontier node. A hang is
-            // retried once; a second hang degrades the wave to one CPU
-            // playout per block — after rolling the in-flight counts back.
-            let mut retried = false;
-            loop {
-                let kernel = PlayoutKernel::new(
-                    frontier.iter().map(|&(_, s, _)| s).collect(),
-                    self.next_stream_seed(),
-                );
-                let fault = plan.gpu_fault(self.stream, self.epoch, self.launch.blocks);
-                let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                let result = self.device.launch_with_fault(&kernel, self.launch, fault);
-                phases.upload += cpu.launch_prep + upload;
-                iter_cost += cpu.launch_prep + upload;
-
-                if result.fault == GpuFault::Hang {
-                    let deadline = plan.hang_deadline(result.stats.elapsed());
-                    phases.kernel += deadline;
-                    iter_cost += deadline;
-                    phases.faults.injected += 1;
-                    if !retried {
-                        retried = true;
-                        phases.faults.retried += 1;
-                        continue;
-                    }
-                    // Degraded mode: the dispatched batches are lost, so
-                    // their unobserved counts roll back first; each block
-                    // then contributes one CPU playout from its frontier.
-                    for &(node, _, _) in &frontier {
-                        tree.sub_inflight_path(node, tpb as u32);
-                    }
-                    for &(node, state, _) in &frontier {
-                        let playout = random_playout(state, &mut self.rng);
-                        let cost = cpu.playout(playout.plies);
-                        phases.kernel += cost;
-                        iter_cost += cost;
-                        tree.backprop(node, playout.reward_for(Player::P1), 1);
-                        simulations += 1;
-                        phases.simulations += 1;
-                        phases.faults.degraded += 1;
-                    }
-                    break;
-                }
-
-                let voided = match result.fault {
-                    GpuFault::BlockAbort(bad) => {
-                        phases.faults.injected += 1;
-                        phases.faults.degraded += 1;
-                        Some(bad as usize)
-                    }
-                    fault => {
-                        if fault != GpuFault::None {
-                            phases.faults.injected += 1;
-                        }
-                        None
-                    }
-                };
-
-                simulations += backprop_wave(
-                    &mut tree,
-                    &frontier,
-                    &result.outputs,
-                    tpb,
-                    voided,
-                    &mut phases,
-                );
-
-                phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                phases.readback += result.stats.readback_time;
-                iter_cost += result.stats.elapsed();
-                phases.record_launch(&result.stats);
-                break;
-            }
-
-            tracker.charge(iter_cost);
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        if self.tree.is_terminal(self.tree.root()) {
+            return None;
         }
+        let frontier = select_wave(
+            &mut self.tree,
+            self.blocks,
+            self.threads_per_block,
+            &mut self.rng,
+            self.config.exploration_c,
+            &mut self.ledger.phases,
+        );
+        let request = PlayoutRequest::new(&frontier, &self.config.cpu_cost);
+        self.pending = Some(frontier);
+        Some(request)
+    }
 
-        debug_assert_eq!(tree.inflight_total(), 0, "in-flight residue after search");
-        (tree, tracker, simulations, phases)
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        let frontier = self.pending.take().expect("no round in flight");
+        backprop_wave(
+            &mut self.tree,
+            &frontier,
+            lanes,
+            self.threads_per_block as usize,
+            voided,
+            &mut self.ledger.phases,
+        );
+    }
+
+    fn inflight(&self) -> u64 {
+        self.tree.inflight_total()
+    }
+
+    /// The dispatched batches are lost, so their unobserved counts roll
+    /// back first; each block then lands one CPU playout.
+    fn degrade(&mut self) -> SimTime {
+        let frontier = self.pending.take().expect("no round in flight");
+        for &(node, _, _) in &frontier {
+            self.tree.sub_inflight_path(node, self.threads_per_block);
+        }
+        cpu_playouts(
+            std::slice::from_mut(&mut self.tree),
+            &frontier,
+            &mut self.rng,
+            &self.config.cpu_cost,
+            &mut self.ledger.phases,
+        )
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        report_from_trees(
+            &self.config,
+            std::slice::from_ref(&self.tree),
+            &self.ledger.tracker,
+            self.ledger.phases.clone(),
+        )
     }
 }
 
@@ -226,26 +217,21 @@ impl<G: Game> WuUctSearcher<G> {
 /// order on the shared tree, each expansion followed by registering the
 /// batch's `tpb` unobserved playouts on its path — so block `b`'s
 /// selection is discounted by the `O` of blocks `0..b`. Returns each
-/// batch's frontier `(node, state, depth)` plus the summed host tree-op
-/// cost, charged exactly like block parallelism's host phase.
+/// batch's frontier `(node, state, depth)`, billed like block
+/// parallelism's host phase.
 ///
 /// The loop is deliberately sequential: each selection *depends* on the
 /// previous registrations, which is what makes in-flight membership a pure
 /// function of the schedule (and host-thread independence trivial).
-///
-/// Shared with the multi-session search service (one wave per batched
-/// launch).
-pub(crate) fn select_wave<G: Game>(
+fn select_wave<G: Game>(
     tree: &mut SearchTree<G>,
     blocks: usize,
     tpb: u32,
     rng: &mut Xoshiro256pp,
     exploration_c: f64,
-    cpu: &CpuCostModel,
     phases: &mut PhaseBreakdown,
-) -> (Vec<(u32, G, u32)>, SimTime) {
-    let mut frontier: Vec<(u32, G, u32)> = Vec::with_capacity(blocks);
-    let mut host_cost = SimTime::ZERO;
+) -> Frontier<G> {
+    let mut frontier: Frontier<G> = Vec::with_capacity(blocks);
     for _ in 0..blocks {
         let sel = tree.select_corrected(exploration_c);
         let node = if tree.untried_len(sel) != 0 {
@@ -256,60 +242,32 @@ pub(crate) fn select_wave<G: Game>(
             sel
         };
         tree.add_inflight_path(node, tpb);
-        let depth = tree.depth(node);
-        host_cost += cpu.tree_op(depth);
-        phases.select += cpu.select_cost(depth);
-        phases.expand += cpu.expand_cost();
-        frontier.push((node, *tree.state(node), depth));
+        frontier.push((node, *tree.state(node), tree.depth(node)));
     }
-    (frontier, host_cost)
+    frontier
 }
 
 /// The readback half of one WU-UCT wave: every block's in-flight
 /// registration is rolled back exactly once (voided blocks included — a
 /// voided launch still retires its unobserved counts), then each
 /// non-voided block's `tpb` lanes aggregate and backpropagate into the
-/// shared tree. Returns the simulations credited.
-pub(crate) fn backprop_wave<G: Game>(
+/// shared tree.
+fn backprop_wave<G: Game>(
     tree: &mut SearchTree<G>,
     frontier: &[(u32, G, u32)],
     outputs: &[LaneOutcome],
     tpb: usize,
     voided: Option<usize>,
     phases: &mut PhaseBreakdown,
-) -> u64 {
-    let mut total = 0u64;
+) {
     for (b, &(node, _, _)) in frontier.iter().enumerate() {
         tree.sub_inflight_path(node, tpb as u32);
         if Some(b) == voided {
             continue;
         }
-        let lanes = &outputs[b * tpb..(b + 1) * tpb];
-        let (wins_p1, n) = aggregate(lanes);
+        let (wins_p1, n) = aggregate(&outputs[b * tpb..(b + 1) * tpb]);
         tree.backprop(node, wins_p1, n);
-        total += n;
         phases.simulations += n;
-    }
-    total
-}
-
-impl<G: Game> Searcher<G> for WuUctSearcher<G> {
-    fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let (tree, tracker, sims, phases) = self.search_tree(root, budget);
-        crate::block_parallel::report_from_trees(
-            &self.config,
-            std::slice::from_ref(&tree),
-            &tracker,
-            sims,
-            phases,
-        )
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "WU-UCT ({} batches × {} threads, shared tree)",
-            self.launch.blocks, self.launch.threads_per_block
-        )
     }
 }
 
@@ -320,6 +278,16 @@ mod tests {
     use pmcts_games::{Reversi, TicTacToe};
     use pmcts_gpu_sim::DeviceSpec;
     use pmcts_util::FaultPlan;
+
+    /// Runs a search and hands back the shared tree with the report.
+    fn search_tree(
+        s: &mut WuUctSearcher<Reversi>,
+        budget: SearchBudget,
+    ) -> (SearchTree<Reversi>, SearchReport<pmcts_games::ReversiMove>) {
+        let mut engine = s.engine(Reversi::initial(), budget);
+        let report = s.solo.run(&mut engine);
+        (engine.tree, report)
+    }
 
     fn device() -> Device {
         Device::new(DeviceSpec::tesla_c2050())
@@ -363,7 +331,8 @@ mod tests {
         // search every O counter is zero and the root mass equals the
         // simulations — in-flight corrections never leak into statistics.
         let mut s = WuUctSearcher::<Reversi>::new(cfg(2), device(), LaunchConfig::new(8, 32));
-        let (tree, _, sims, _) = s.search_tree(Reversi::initial(), SearchBudget::Iterations(50));
+        let (tree, r) = search_tree(&mut s, SearchBudget::Iterations(50));
+        let sims = r.simulations;
         assert_eq!(tree.inflight_total(), 0, "unobserved counts leaked");
         assert_eq!(tree.visits(tree.root()), sims);
         let root_mass: u64 = tree.root_stats().iter().map(|st| st.visits).sum();
@@ -385,9 +354,8 @@ mod tests {
                 device(),
                 LaunchConfig::new(4, 32),
             );
-            let (tree, _, _, phases) =
-                s.search_tree(Reversi::initial(), SearchBudget::Iterations(8));
-            assert!(phases.faults.injected > 0, "plan must actually fire");
+            let (tree, r) = search_tree(&mut s, SearchBudget::Iterations(8));
+            assert!(r.phases.faults.injected > 0, "plan must actually fire");
             assert_eq!(tree.inflight_total(), 0, "fault path leaked O counts");
         }
     }
@@ -430,7 +398,7 @@ mod tests {
             device(),
             LaunchConfig::new(8, 32),
         );
-        let (tree, _, _, _) = s.search_tree(Reversi::initial(), SearchBudget::Iterations(60));
+        let (tree, _) = search_tree(&mut s, SearchBudget::Iterations(60));
         assert!(tree.live_nodes() <= 64, "arena exceeded its cap");
         assert!(tree.evictions() > 0, "test must actually churn the arena");
         assert_eq!(tree.inflight_total(), 0);

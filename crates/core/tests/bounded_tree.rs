@@ -109,17 +109,20 @@ fn bounded_service_transcript(
 )> {
     let mut svc = SearchService::<Reversi>::new(device(threads), 32, 88);
     for s in 0..3u64 {
-        svc.admit_sequential(
+        svc.admit(
             Reversi::initial(),
             SearchBudget::VirtualTime(SimTime::from_millis(3)),
             bounded_cfg(210 + s, 64),
+            SessionScheme::Sequential,
+            None,
         );
     }
-    svc.admit_block(
+    svc.admit(
         Reversi::initial(),
         SearchBudget::Iterations(6),
         bounded_cfg(220, 64),
-        2,
+        SessionScheme::Block(2),
+        None,
     );
     svc.run_to_completion();
     svc.take_completed()

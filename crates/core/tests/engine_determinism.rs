@@ -700,21 +700,31 @@ fn service_transcript(
 )> {
     let mut svc = SearchService::<Reversi>::new(device(threads), 32, 77);
     for s in 0..4u64 {
-        svc.admit_sequential(
+        svc.admit(
             Reversi::initial(),
             SearchBudget::VirtualTime(SimTime::from_millis(3)),
             cfg(50 + s),
+            SessionScheme::Sequential,
+            None,
         );
     }
-    svc.admit_block(Reversi::initial(), SearchBudget::Iterations(4), cfg(60), 2);
+    svc.admit(
+        Reversi::initial(),
+        SearchBudget::Iterations(4),
+        cfg(60),
+        SessionScheme::Block(2),
+        None,
+    );
     for _ in 0..2 {
         assert!(svc.step());
     }
     // Late admission: joins the batch from the next round on.
-    svc.admit_sequential(
+    svc.admit(
         Reversi::initial(),
         SearchBudget::VirtualTime(SimTime::from_millis(2)),
         cfg(61),
+        SessionScheme::Sequential,
+        None,
     );
     svc.run_to_completion();
     svc.take_completed()
@@ -722,6 +732,71 @@ fn service_transcript(
         .map(|c| (c.id.0, c.admitted_at, c.completed_at, c.report))
         .collect()
 }
+
+/// A faulted service run: one session of every scheme under its own mixed
+/// fault plan, packed into waves of three, so hangs stall merged launches
+/// and slowdowns and aborts land on shared grids. One fingerprint line
+/// (with fault counters) per retired session.
+fn faulted_service_transcript(threads: usize) -> Vec<String> {
+    let mut svc = SearchService::<Reversi>::new(device(threads), 32, 78);
+    let schemes = [
+        SessionScheme::Sequential,
+        SessionScheme::Block(3),
+        SessionScheme::WuUct(3),
+        SessionScheme::Pipelined(3),
+    ];
+    for (s, scheme) in (0u64..).zip(schemes) {
+        svc.admit(
+            Reversi::initial(),
+            SearchBudget::VirtualTime(SimTime::from_millis(30)),
+            cfg(70 + s).with_faults(mixed_plan(80 + s)),
+            scheme,
+            None,
+        );
+    }
+    while svc.step_wave(3) {}
+    svc.take_completed()
+        .iter()
+        .map(|c| {
+            let f = &c.report.phases.faults;
+            format!(
+                "{}@{}+{}:{}/f{},{},{}",
+                c.id,
+                c.admitted_at.as_nanos(),
+                (c.completed_at - c.admitted_at).as_nanos(),
+                report_fingerprint(&c.report),
+                f.injected,
+                f.retried,
+                f.degraded
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn faulted_service_identical_across_host_threads_and_pinned() {
+    let baseline = faulted_service_transcript(HOST_THREADS[0]);
+    for &threads in &HOST_THREADS[1..] {
+        assert_eq!(
+            baseline,
+            faulted_service_transcript(threads),
+            "faulted service transcript changed at {threads} host threads"
+        );
+    }
+    assert_eq!(
+        baseline, PINNED_FAULTED_SERVICE,
+        "pinned transcript drifted"
+    );
+}
+
+/// Pinned: the first three sessions share every wave until they retire;
+/// the pipelined session waits, then runs one round on its own.
+const PINNED_FAULTED_SERVICE: [&str; 4] = [
+    "s0@0+27131471:Some(ReversiMove(26))/s130/i8/e27131471/v130/w4633359591634108416/f6,4,4",
+    "s1@0+27131471:Some(ReversiMove(37))/s550/i8/e27131471/v550/w4643404729865469952/f6,4,7",
+    "s2@0+27131471:Some(ReversiMove(26))/s582/i8/e27131471/v582/w4643457506423603200/f9,4,6",
+    "s3@0+29378097:Some(ReversiMove(44))/s96/i1/e29378097/v96/w4630896685587890176/f1,0,0",
+];
 
 #[test]
 fn search_service_identical_across_host_threads() {
@@ -745,20 +820,24 @@ fn late_admitted_session_still_meets_deadline_under_full_batch() {
     // starve it.
     let mut svc = SearchService::<Reversi>::new(device(2), 32, 9);
     for s in 0..15u64 {
-        svc.admit_sequential(
+        svc.admit(
             Reversi::initial(),
             SearchBudget::VirtualTime(SimTime::from_millis(40)),
             cfg(70 + s),
+            SessionScheme::Sequential,
+            None,
         );
     }
     for _ in 0..3 {
         assert!(svc.step());
     }
     let budget = SimTime::from_millis(5);
-    let late = svc.admit_sequential(
+    let late = svc.admit(
         Reversi::initial(),
         SearchBudget::VirtualTime(budget),
         cfg(99),
+        SessionScheme::Sequential,
+        None,
     );
     let mut late_done = None;
     while late_done.is_none() {

@@ -1,9 +1,9 @@
 //! The per-rank communicator: point-to-point messages and collectives.
 
 use crate::network::NetworkModel;
-use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
 use std::cell::RefCell;
+use std::sync::mpsc::{Receiver, Sender};
 
 /// An envelope travelling between ranks.
 pub(crate) struct Envelope {

@@ -2,7 +2,7 @@
 
 use crate::comm::{Comm, Envelope};
 use crate::network::NetworkModel;
-use crossbeam::channel::unbounded;
+use std::sync::mpsc;
 
 /// Entry point of the simulated MPI runtime.
 pub struct World;
@@ -26,27 +26,26 @@ impl World {
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = mpsc::channel::<Envelope>();
             senders.push(tx);
             receivers.push(rx);
         }
 
         let mut results: Vec<Option<T>> = (0..size).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = receivers
                 .into_iter()
                 .enumerate()
                 .map(|(rank, inbox)| {
                     let senders = senders.clone();
                     let f = &f;
-                    scope.spawn(move |_| f(Comm::new(rank, size, net, senders, inbox)))
+                    scope.spawn(move || f(Comm::new(rank, size, net, senders, inbox)))
                 })
                 .collect();
             for (rank, h) in handles.into_iter().enumerate() {
                 results[rank] = Some(h.join().expect("rank panicked"));
             }
-        })
-        .expect("mpi-sim scope failed");
+        });
 
         results
             .into_iter()

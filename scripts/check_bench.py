@@ -27,6 +27,11 @@ Usage:
                                  cover it exactly (each class x scheme
                                  once, in roster order)
           fault_matrix_hex11.json  same matrix on Hex 11x11
+          fault_matrix_service.json  the same roster check over search-service
+                                 sessions; classes the roster lists as
+                                 inert_classes must inject nothing, and
+                                 latency_ns (completed - admitted) must
+                                 equal elapsed_ns
           frontier.json          batch-width x scheme frontier: per-cell
                                  phase ledgers exact, arena win ratios in
                                  [0, 1], and at every width >= 64 WU-UCT
@@ -468,6 +473,7 @@ def check_fault_matrix(path):
         fail(f"{path}: first record must be the roster meta-record")
     schemes = split_roster(roster, "schemes", f"{path}[0]")
     classes_order = split_roster(roster, "fault_classes", f"{path}[0]")
+    inert = [n for n in roster.get("inert_classes", "").split(",") if n]
     cells = data[1:]
     if not cells:
         fail(f"{path}: no cells")
@@ -483,6 +489,8 @@ def check_fault_matrix(path):
         for f in WALL_FIELDS:
             if f in rec:
                 fail(f"{where}: wall-clock field {f!r} breaks determinism diffing")
+        if "latency_ns" in rec and rec["latency_ns"] != rec["elapsed_ns"]:
+            fail(f"{where}: latency_ns {rec['latency_ns']} != elapsed_ns {rec['elapsed_ns']}")
         grid.append((rec["fault_class"], rec["scheme"]))
         cls = classes.setdefault(rec["fault_class"], {"cells": 0, "injected": 0})
         cls["cells"] += 1
@@ -503,7 +511,10 @@ def check_fault_matrix(path):
     if classes["none"]["injected"] != 0:
         fail(f"{path}: fault_class 'none' injected faults")
     for name, cls in classes.items():
-        if name != "none" and cls["injected"] == 0:
+        if name in inert:
+            if cls["injected"] != 0:
+                fail(f"{path}: inert fault class {name!r} injected faults")
+        elif name != "none" and cls["injected"] == 0:
             fail(f"{path}: fault class {name!r} never injected in any cell")
     print(
         f"check_bench: OK: {path}: {len(cells)} cells cover the roster"
@@ -855,6 +866,7 @@ CHECKS = {
     "BENCH_throughput.json": check_throughput,
     "fault_matrix.json": check_fault_matrix,
     "fault_matrix_hex11.json": check_fault_matrix,
+    "fault_matrix_service.json": check_fault_matrix,
     "frontier.json": check_frontier,
     "serve.json": check_serve,
     "fleet.json": check_fleet,

@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Byte-compares the deterministic bench artifacts of the working tree with
+# those of a base commit.
+#
+# Usage: scripts/diff_artifacts.sh BASE
+#
+# Builds BASE in a temporary `git worktree`, then regenerates on both trees
+# the quick seed-7 fault matrix (Reversi and Hex 11x11), the serve and
+# fleet (`--sessions 64 --devices 4`) artifacts, the frontier, and the
+# profile canonicalised with `check_bench.py --canon` (wall-clock fields
+# stripped) minus its `tree_parallel` record, whose phase times depend on
+# the OS scheduler by design. Prints one line per artifact and exits
+# non-zero if any pair differs. Artifacts that only the working tree
+# produces are not compared.
+set -euo pipefail
+
+base=${1:?usage: scripts/diff_artifacts.sh BASE}
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+cleanup() {
+    git -C "$root" worktree remove --force "$work/base" >/dev/null 2>&1 || true
+    rm -rf "$work"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --detach --quiet "$work/base" "$base"
+
+# generate TREE OUT: builds the bench binaries of TREE and writes its
+# artifacts to OUT.
+generate() {
+    local tree=$1 out=$2
+    (cd "$tree" && cargo build --release --quiet -p pmcts-bench)
+    local bin=$tree/target/release
+    mkdir -p "$out"
+    "$bin/fault_matrix" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    "$bin/serve" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    "$bin/serve" --quick --seed 7 --sessions 64 --devices 4 --out "$out" >/dev/null 2>&1
+    "$bin/frontier" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    "$bin/profile" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    python3 "$root/scripts/check_bench.py" --canon "$out/profile.json" | python3 -c '
+import json, sys
+records = [r for r in json.load(sys.stdin) if r.get("scheme") != "tree_parallel"]
+json.dump(records, sys.stdout, indent=1, sort_keys=True)
+' >"$out/profile.canon.json"
+}
+
+generate "$work/base" "$work/out-base"
+generate "$root" "$work/out-head"
+
+status=0
+for f in fault_matrix.json fault_matrix_hex11.json serve.json fleet.json frontier.json profile.canon.json; do
+    if cmp -s "$work/out-base/$f" "$work/out-head/$f"; then
+        echo "identical  $f"
+    else
+        echo "DIFFERENT  $f"
+        status=1
+    fi
+done
+exit $status
