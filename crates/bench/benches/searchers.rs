@@ -47,14 +47,6 @@ fn bench_searchers(c: &mut Criterion) {
                 .simulations
         })
     });
-
-    c.bench_function("tree parallel x4: 80 iterations", |b| {
-        b.iter(|| {
-            TreeParallelSearcher::<Reversi>::new(MctsConfig::default().with_seed(5), 4)
-                .search(root, SearchBudget::Iterations(80))
-                .simulations
-        })
-    });
 }
 
 criterion_group!(benches, bench_searchers);

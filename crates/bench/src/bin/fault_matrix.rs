@@ -155,7 +155,7 @@ fn matrix_for<G: Game>(args: &BenchArgs, position: G) -> Vec<JsonObject> {
         );
         run(
             "root_parallel",
-            &mut RootParallelSearcher::<G>::new(cfg.clone(), 4).with_workers(host_threads),
+            &mut RootParallelSearcher::<G>::new(cfg.clone(), 4).with_pool(Arc::clone(&pool)),
         );
         run(
             "multi_gpu",

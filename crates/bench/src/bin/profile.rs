@@ -91,13 +91,6 @@ fn main() {
         );
         records.push(
             run(
-                "tree_parallel",
-                &mut TreeParallelSearcher::<Reversi>::new(cfg(), threads),
-            )
-            .u64_field("threads", threads as u64),
-        );
-        records.push(
-            run(
                 "multi_node_cpu",
                 &mut MultiNodeCpuSearcher::<Reversi>::new(cfg(), 2, threads, net),
             )

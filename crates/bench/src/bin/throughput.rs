@@ -781,7 +781,8 @@ fn main() {
         bench_search(
             "root_parallel",
             SearchBudget::Iterations(search_iters * 8),
-            &mut RootParallelSearcher::<Reversi>::new(cfg(), 8).with_workers(host_threads),
+            &mut RootParallelSearcher::<Reversi>::new(cfg(), 8)
+                .with_pool(std::sync::Arc::new(WorkerPool::new(host_threads))),
             position,
         )
         .0,

@@ -42,7 +42,7 @@ use crate::block_parallel::{report_from_trees, BlockEngine};
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::tree::SearchTree;
-use crate::wave::{Solo, LANE_SEED_STEP};
+use crate::wave::{slow_down, void_of, Solo, LANE_SEED_STEP};
 use pmcts_games::{random_playout, Game, Player};
 use pmcts_gpu_sim::{
     Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace, WorkerPool,
@@ -371,15 +371,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             }
             hang_retried = false;
 
-            let voided = match fault {
-                GpuFault::BlockAbort(bad) => {
-                    ledger.phases.faults.injected += 1;
-                    ledger.phases.faults.degraded += 1;
-                    Some(bad as usize % self.launch.blocks as usize)
-                }
-                _ => None,
-            };
-
+            let voided = void_of(fault, &mut ledger.phases);
             let (mut stats, sims, expansions) = run_rounds(
                 &mut trees,
                 &mut allocs,
@@ -392,10 +384,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 exploration_c,
                 voided,
             );
-            if let GpuFault::Slowdown(factor) = fault {
-                stats.device_time = stats.device_time * factor.max(1) as u64;
-                ledger.phases.faults.injected += 1;
-            }
+            slow_down(&mut stats, &[fault]);
 
             // Exact ledger: launch prep + (first launch only) the root
             // state delta to the upload phase; overhead + device time to

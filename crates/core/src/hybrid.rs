@@ -21,7 +21,7 @@ use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
-use crate::wave::{void_of, HostTime};
+use crate::wave::{slow_down, void_of, HostTime};
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
 use pmcts_util::{SimTime, Xoshiro256pp};
@@ -108,9 +108,7 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                 ));
                 let fault = plan.gpu_fault(0x4B1D, self.epoch, self.launch.blocks);
                 let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                let pending = self
-                    .device
-                    .launch_async_with_fault(kernel, self.launch, fault);
+                let pending = self.device.launch_async(kernel, self.launch);
 
                 // CPU shadow work while the kernel flies: plain sequential
                 // MCTS iterations, round-robin over the same trees, bounded
@@ -134,7 +132,8 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                     scratch.shadow_iterations = shadow.iterations;
                 }
 
-                let result = pending.wait();
+                let mut result = pending.wait();
+                slow_down(&mut result.stats, &[fault]);
                 let kernel_elapsed = result.stats.elapsed();
 
                 // A hung kernel's outputs are void; instead of idling to the
@@ -142,7 +141,7 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                 // its shadow loop over the same trees, so the window still
                 // makes progress. Completed launches (possibly slowed,
                 // possibly with one aborted block) read back as usual.
-                let gpu_side = if result.fault == GpuFault::Hang {
+                let gpu_side = if fault == GpuFault::Hang {
                     let deadline = plan.hang_deadline(kernel_elapsed);
                     phases.faults.injected += 1;
                     phases.faults.degraded += 1;
@@ -160,7 +159,7 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                     shadow_elapsed = shadow.elapsed;
                     deadline
                 } else {
-                    let voided = void_of(result.fault, &mut phases);
+                    let voided = void_of(fault, &mut phases);
                     backprop_outputs(
                         &mut trees,
                         &frontier,
@@ -180,7 +179,7 @@ impl<G: Game> Searcher<G> for HybridSearcher<G> {
                 // hidden side's time is recorded as `overlap_saved`.
                 phases.upload += cpu.launch_prep + upload;
                 if gpu_side >= shadow_elapsed {
-                    if result.fault == GpuFault::Hang {
+                    if fault == GpuFault::Hang {
                         phases.kernel += gpu_side;
                     } else {
                         phases.kernel += result.stats.launch_overhead + result.stats.device_time;

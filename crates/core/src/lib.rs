@@ -9,7 +9,9 @@
 //!   playout from the same selected leaf (paper Fig. 2a). Simple, but its
 //!   strength saturates: more samples of one node stop helping.
 //! * [`root_parallel`] — the CPU scheme of refs \[3\]\[4\]: `n` threads build
-//!   `n` independent trees and merge root statistics (paper Fig. 2b).
+//!   `n` independent trees and merge root statistics (paper Fig. 2b); also
+//!   the one ensemble merge and MPI rank driver that [`multi_gpu`] and
+//!   [`multi_node_cpu`] share.
 //! * [`block_parallel`] — **the contribution**: one tree per GPU *block*;
 //!   the CPU drives selection/expansion/backpropagation for every tree and
 //!   a single kernel launch simulates all trees' frontier nodes at once,
@@ -20,9 +22,6 @@
 //!   memory (DESIGN.md §13): a persistent kernel runs *complete* MCTS
 //!   iterations per lane, the host phases collapse to zero, and only
 //!   root-child statistics are read back per launch.
-//! * [`tree_parallel`] — shared-tree CPU parallelism with virtual loss
-//!   (ref \[3\]); included as the scheme the paper notes does *not* map onto
-//!   SIMD hardware.
 //! * [`hybrid`] — the CPU/GPU overlap of the paper's Fig. 4: kernels are
 //!   launched asynchronously and the CPU keeps deepening the same trees
 //!   while the GPU simulates, fixing the shallow-tree weakness of GPU-only
@@ -32,7 +31,10 @@
 //! * [`wu_uct`] — the exploration-loss fix (DESIGN.md §16): block
 //!   parallelism over **one shared tree**, selection corrected by WU-UCT
 //!   in-flight counts so concurrent batches diversify instead of piling
-//!   onto the uncorrected-UCB maximiser.
+//!   onto the uncorrected-UCB maximiser. The correction is virtual loss
+//!   (ref \[3\]) with weight = in-flight playouts, so this is also the
+//!   crate's tree parallelism — deterministic, waves composed in block
+//!   order.
 //! * [`pipelined`] — barrier-free block parallelism (DESIGN.md §16):
 //!   select/expand of wave *k* overlaps the in-flight kernel of wave
 //!   *k−1*, priced like [`hybrid`] under the seven-phase ledger.
@@ -79,7 +81,6 @@ pub mod telemetry;
 pub mod transposition;
 pub mod tree;
 pub mod tree_aos;
-pub mod tree_parallel;
 pub mod ucb;
 mod wave;
 pub mod wu_uct;
@@ -108,7 +109,6 @@ pub mod prelude {
     pub use crate::service::{CompletedSession, SearchService, SessionId, SessionScheme};
     pub use crate::telemetry::PhaseBreakdown;
     pub use crate::transposition::{TransStats, TransTable};
-    pub use crate::tree_parallel::TreeParallelSearcher;
     pub use crate::wu_uct::WuUctSearcher;
     pub use pmcts_games::{Connect4, Game, Hex11, Hex7, Outcome, Player, Reversi, TicTacToe};
     pub use pmcts_gpu_sim::{Device, DeviceSpec, LaunchConfig};

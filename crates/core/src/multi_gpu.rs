@@ -6,17 +6,16 @@
 //! methods, the root node has to be updated by summing up results from all
 //! other trees processed in parallel", §II.4 — here across ranks). All
 //! ranks end up with identical merged statistics and hence choose the same
-//! move.
+//! move. The rank driver, its fault handling and the merge are shared with
+//! the multi-node CPU searcher (`root_parallel::run_ranks`).
 
 use crate::block_parallel::BlockParallelSearcher;
 use crate::config::{MctsConfig, SearchBudget};
-use crate::searcher::{empty_report, SearchReport, Searcher};
-use crate::telemetry::{critical_index, rank_merge_cost, PhaseBreakdown};
-use crate::tree::{best_from_stats, merge_root_stats, RootStat};
+use crate::root_parallel::run_ranks;
+use crate::searcher::{SearchReport, Searcher};
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, DeviceSpec, LaunchConfig, WorkerPool};
-use pmcts_mpi_sim::{NetworkModel, World};
-use pmcts_util::SimTime;
+use pmcts_mpi_sim::NetworkModel;
 use std::sync::Arc;
 
 /// Root-parallel search over `ranks` simulated GPUs connected by MPI.
@@ -74,79 +73,26 @@ impl<G: Game> MultiGpuSearcher<G> {
 impl<G: Game> Searcher<G> for MultiGpuSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         self.generation += 1;
-        let gen = self.generation;
-        let config = self.config.clone();
-        let spec = self.device_spec.clone();
-        let launch = self.launch;
-        let ranks = self.ranks;
         // All ranks' devices execute on one shared persistent pool — the
         // host's cores are a single resource however many GPUs we simulate.
-        let pool = Arc::clone(&self.pool);
-
-        let plan = self.config.faults;
-        type RankResult<M> = (SearchReport<M>, Option<Vec<RootStat<M>>>);
-        let per_rank: Vec<RankResult<G::Move>> = World::run(ranks, self.network, |comm| {
-            // A dead rank produces nothing this search; it still joins the
-            // collectives (via the sparse allreduce) so nothing can hang.
-            // A live rank may have its contribution dropped by the network:
-            // it searched, but its statistics are excluded from the merge.
-            let rank = comm.rank() as u64;
-            let (report, contribution) = if plan.component_dead(gen, rank) {
-                (empty_report(), None)
-            } else {
-                let device = Device::new_with_pool(spec.clone(), Arc::clone(&pool));
-                let stream = gen * ranks as u64 + rank;
-                let mut searcher =
-                    BlockParallelSearcher::<G>::with_stream(config.clone(), device, launch, stream);
-                let report = searcher.search(root, budget);
-                let contribution = if plan.drops_contribution(gen, rank) {
-                    None
-                } else {
-                    Some(report.root_stats.clone())
-                };
-                (report, contribution)
-            };
-            let merged = comm.allreduce_sparse(contribution, |a, b| merge_root_stats(&[a, b]));
-            (report, merged)
-        });
-
-        // Rank 0 is never dead and never dropped, so a merge always exists.
-        let merged = per_rank[0].1.clone().unwrap_or_default();
-        // Every rank must agree after the allreduce.
-        debug_assert!(per_rank
-            .iter()
-            .all(|(_, m)| m.as_deref() == Some(&merged[..])));
-
-        // Ranks run concurrently; the merge costs one allreduce. Phase
-        // times follow the critical (slowest) rank plus the allreduce in
-        // `merge`, so they still sum to elapsed; counters sum over ranks.
-        let mut phases = PhaseBreakdown::new();
-        for (r, _) in &per_rank {
-            phases.absorb_counters(&r.phases);
-        }
-        let crit = critical_index(per_rank.iter().map(|(r, _)| r.elapsed));
-        if let Some(i) = crit {
-            phases.adopt_times(&per_rank[i].0.phases);
-        }
-
-        let stats_bytes = (merged.len() * std::mem::size_of::<RootStat<G::Move>>()) as u64;
-        let comm_cost = rank_merge_cost(&plan, &mut phases, gen, ranks, || {
-            self.network.allreduce_time(stats_bytes, ranks)
-        });
-        phases.merge += comm_cost;
-
-        let elapsed = crit.map(|i| per_rank[i].0.elapsed).unwrap_or(SimTime::ZERO) + comm_cost;
-        phases.budget_overshoot = crate::searcher::overshoot_of(budget, elapsed);
-        SearchReport {
-            best_move: best_from_stats(&merged, self.config.final_move),
-            simulations: per_rank.iter().map(|(r, _)| r.simulations).sum(),
-            iterations: per_rank.iter().map(|(r, _)| r.iterations).sum(),
-            tree_nodes: per_rank.iter().map(|(r, _)| r.tree_nodes).sum(),
-            max_depth: per_rank.iter().map(|(r, _)| r.max_depth).max().unwrap_or(0),
-            elapsed,
-            root_stats: merged,
-            phases,
-        }
+        run_ranks(
+            &self.config,
+            self.ranks,
+            self.network,
+            self.generation,
+            budget,
+            |stream| {
+                let device =
+                    Device::new_with_pool(self.device_spec.clone(), Arc::clone(&self.pool));
+                BlockParallelSearcher::<G>::with_stream(
+                    self.config.clone(),
+                    device,
+                    self.launch,
+                    stream,
+                )
+                .search(root, budget)
+            },
+        )
     }
 
     fn name(&self) -> String {
@@ -197,17 +143,6 @@ mod tests {
         let b = searcher(3, 2).search(Reversi::initial(), SearchBudget::Iterations(4));
         assert_eq!(a.root_stats, b.root_stats);
         assert_eq!(a.best_move, b.best_move);
-    }
-
-    #[test]
-    fn elapsed_includes_allreduce_cost() {
-        let net = NetworkModel::infiniband();
-        let budget = SearchBudget::Iterations(2);
-        let multi = searcher(4, 4).search(Reversi::initial(), budget);
-        // The per-rank elapsed is at least 2 launches; the merged elapsed
-        // adds communication > 0.
-        assert!(multi.elapsed > SimTime::ZERO);
-        let _ = net;
     }
 
     #[test]

@@ -4,20 +4,17 @@
 //! on the simulated MPI substrate.
 //!
 //! Each rank models one multi-core node running [`RootParallelSearcher`]
-//! with `threads_per_rank` trees; rank statistics are merged with an
-//! allreduce exactly like the multi-GPU searcher. This completes the
-//! CPU-side scaling story behind Fig. 7's 2…256-thread sweep: 256 threads
-//! is 22 nodes of the paper's 12-core Xeon X5670 machines.
+//! with `threads_per_rank` trees; rank statistics are merged by the same
+//! rank driver as the multi-GPU searcher (`root_parallel::run_ranks`). This
+//! completes the CPU-side scaling story behind Fig. 7's 2…256-thread sweep:
+//! 256 threads is 22 nodes of the paper's 12-core Xeon X5670 machines.
 
 use crate::config::{MctsConfig, SearchBudget};
-use crate::root_parallel::RootParallelSearcher;
-use crate::searcher::{empty_report, SearchReport, Searcher};
-use crate::telemetry::{critical_index, rank_merge_cost, PhaseBreakdown};
-use crate::tree::{best_from_stats, merge_root_stats, RootStat};
+use crate::root_parallel::{run_ranks, RootParallelSearcher};
+use crate::searcher::{SearchReport, Searcher};
 use pmcts_games::Game;
 use pmcts_gpu_sim::WorkerPool;
-use pmcts_mpi_sim::{NetworkModel, World};
-use pmcts_util::SimTime;
+use pmcts_mpi_sim::NetworkModel;
 use std::sync::Arc;
 
 /// Root parallelism across `ranks` simulated cluster nodes with
@@ -73,75 +70,25 @@ impl<G: Game> MultiNodeCpuSearcher<G> {
 impl<G: Game> Searcher<G> for MultiNodeCpuSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         self.generation += 1;
-        let gen = self.generation;
-        let config = self.config.clone();
-        let ranks = self.ranks;
-        let tpr = self.threads_per_rank;
         // Every rank shares the one persistent pool; concurrent scoped
         // fan-outs are safe (the caller participates) and results are keyed
         // by tree index, so sharing never affects them.
-        let pool = &self.pool;
-
-        let plan = self.config.faults;
-        type RankResult<M> = (SearchReport<M>, Option<Vec<RootStat<M>>>);
-        let per_rank: Vec<RankResult<G::Move>> = World::run(ranks, self.network, |comm| {
-            // Dead and contribution-dropped ranks behave exactly as in the
-            // multi-GPU searcher: the sparse allreduce merges survivors.
-            let rank = comm.rank() as u64;
-            let (report, contribution) = if plan.component_dead(gen, rank) {
-                (empty_report(), None)
-            } else {
-                let stream_base = (gen * ranks as u64 + rank) << 20;
-                let mut searcher = RootParallelSearcher::<G>::with_stream_on(
-                    config.clone(),
-                    tpr,
-                    stream_base,
-                    Arc::clone(pool),
-                );
-                let report = searcher.search(root, budget);
-                let contribution = if plan.drops_contribution(gen, rank) {
-                    None
-                } else {
-                    Some(report.root_stats.clone())
-                };
-                (report, contribution)
-            };
-            let merged = comm.allreduce_sparse(contribution, |a, b| merge_root_stats(&[a, b]));
-            (report, merged)
-        });
-
-        // Rank 0 is never dead and never dropped, so a merge always exists.
-        let merged = per_rank[0].1.clone().unwrap_or_default();
-
-        // Same critical-path convention as the multi-GPU searcher: the
-        // slowest rank's phases + the allreduce in `merge` sum to elapsed.
-        let mut phases = PhaseBreakdown::new();
-        for (r, _) in &per_rank {
-            phases.absorb_counters(&r.phases);
-        }
-        let crit = critical_index(per_rank.iter().map(|(r, _)| r.elapsed));
-        if let Some(i) = crit {
-            phases.adopt_times(&per_rank[i].0.phases);
-        }
-
-        let stats_bytes = (merged.len() * std::mem::size_of::<RootStat<G::Move>>()) as u64;
-        let comm_cost = rank_merge_cost(&plan, &mut phases, gen, ranks, || {
-            self.network.allreduce_time(stats_bytes, ranks)
-        });
-        phases.merge += comm_cost;
-
-        let elapsed = crit.map(|i| per_rank[i].0.elapsed).unwrap_or(SimTime::ZERO) + comm_cost;
-        phases.budget_overshoot = crate::searcher::overshoot_of(budget, elapsed);
-        SearchReport {
-            best_move: best_from_stats(&merged, self.config.final_move),
-            simulations: per_rank.iter().map(|(r, _)| r.simulations).sum(),
-            iterations: per_rank.iter().map(|(r, _)| r.iterations).sum(),
-            tree_nodes: per_rank.iter().map(|(r, _)| r.tree_nodes).sum(),
-            max_depth: per_rank.iter().map(|(r, _)| r.max_depth).max().unwrap_or(0),
-            elapsed,
-            root_stats: merged,
-            phases,
-        }
+        run_ranks(
+            &self.config,
+            self.ranks,
+            self.network,
+            self.generation,
+            budget,
+            |stream| {
+                RootParallelSearcher::<G>::with_stream_on(
+                    self.config.clone(),
+                    self.threads_per_rank,
+                    stream << 20,
+                    Arc::clone(&self.pool),
+                )
+                .search(root, budget)
+            },
+        )
     }
 
     fn name(&self) -> String {
@@ -196,15 +143,6 @@ mod tests {
         let doubled: Vec<u64> = one.root_stats.iter().map(|s| s.visits * 2).collect();
         let merged: Vec<u64> = two.root_stats.iter().map(|s| s.visits).collect();
         assert_ne!(doubled, merged);
-    }
-
-    #[test]
-    fn elapsed_includes_network_cost() {
-        let budget = SearchBudget::Iterations(10);
-        let ideal = MultiNodeCpuSearcher::<Reversi>::new(cfg(4), 4, 2, NetworkModel::ideal())
-            .search(Reversi::initial(), budget);
-        let real = searcher(4, 4, 2).search(Reversi::initial(), budget);
-        assert!(real.elapsed > ideal.elapsed);
     }
 
     #[test]

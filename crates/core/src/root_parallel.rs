@@ -1,4 +1,5 @@
-//! Root parallelism on CPU threads — paper Fig. 2b, refs \[3\]\[4\].
+//! Root parallelism on CPU threads — paper Fig. 2b, refs \[3\]\[4\] — and
+//! the one ensemble merge every concurrent-tree scheme shares.
 //!
 //! `n` threads build `n` completely independent trees over the same root
 //! (no communication until the end), then root statistics are merged by
@@ -9,14 +10,24 @@
 //!
 //! Budget semantics are wall-clock-like: every thread receives the full
 //! virtual budget, because the real threads run concurrently.
+//!
+//! The paper combines parallel trees by one rule — "the root node has to be
+//! updated by summing up results from all other trees" (§II.4) — on CPU
+//! threads here and across MPI ranks in Fig. 9. The rule is written once,
+//! in this module: `merge_reports` folds concurrent component reports into
+//! one, and `run_ranks` is the MPI rank driver behind
+//! [`MultiGpuSearcher`](crate::multi_gpu::MultiGpuSearcher) and
+//! [`MultiNodeCpuSearcher`](crate::multi_node_cpu::MultiNodeCpuSearcher).
 
-use crate::config::{MctsConfig, SearchBudget};
-use crate::searcher::{empty_report, SearchReport, Searcher};
+use crate::config::{FinalMoveRule, MctsConfig, SearchBudget};
+use crate::searcher::{empty_report, overshoot_of, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::{critical_index, PhaseBreakdown};
-use crate::tree::{best_from_stats, merge_root_stats};
+use crate::tree::{best_from_stats, merge_root_stats, RootStat};
 use pmcts_games::Game;
 use pmcts_gpu_sim::WorkerPool;
+use pmcts_mpi_sim::{NetworkModel, World};
+use pmcts_util::{FaultCounters, SimTime};
 use std::sync::Arc;
 
 /// Root-parallel CPU searcher: `n` independent trees, one per simulated
@@ -45,27 +56,17 @@ impl<G: Game> RootParallelSearcher<G> {
     /// Creates a root-parallel searcher over `threads` simulated CPU
     /// threads (= trees).
     pub fn new(config: MctsConfig, threads: usize) -> Self {
-        Self::with_stream(config, threads, 0)
-    }
-
-    /// Like [`new`](Self::new) with an explicit RNG stream base.
-    pub fn with_stream(config: MctsConfig, threads: usize, stream_base: u64) -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(threads.max(1));
-        Self::with_stream_on(
-            config,
-            threads,
-            stream_base,
-            Arc::new(WorkerPool::new(workers)),
-        )
+        Self::with_stream_on(config, threads, 0, Arc::new(WorkerPool::new(workers)))
     }
 
-    /// Like [`with_stream`](Self::with_stream), but runs the trees on an
-    /// existing shared pool instead of spawning an owned one — no thread
-    /// creation at construction time. Virtual timing and results are
-    /// unaffected by the pool choice.
+    /// Like [`new`](Self::new) with an explicit RNG stream base, running
+    /// the trees on an existing shared pool instead of spawning an owned
+    /// one — no thread creation at construction time. Virtual timing and
+    /// results are unaffected by the pool choice.
     pub fn with_stream_on(
         config: MctsConfig,
         threads: usize,
@@ -81,13 +82,6 @@ impl<G: Game> RootParallelSearcher<G> {
             generation: 0,
             _game: std::marker::PhantomData,
         }
-    }
-
-    /// Overrides the number of real host worker threads by rebuilding the
-    /// owned pool (virtual timing is unaffected). `0` is treated as 1.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.pool = Arc::new(WorkerPool::new(workers.max(1).min(self.threads)));
-        self
     }
 
     /// Shares an existing worker pool (e.g. a simulated device's) instead
@@ -106,10 +100,9 @@ impl<G: Game> RootParallelSearcher<G> {
 impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         self.generation += 1;
-        let config = self.config.clone();
+        let config = &self.config;
         let gen = self.generation;
         let base = self.stream_base;
-        let trees = self.threads;
 
         // Each tree is an independent sequential search with its own RNG
         // stream; trees are distributed over the persistent worker pool and
@@ -121,7 +114,7 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
         // survivor always exists.
         let plan = config.faults;
         let fault_key = base ^ gen.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut slots: Vec<()> = vec![(); trees];
+        let mut slots: Vec<()> = vec![(); self.threads];
         let reports: Vec<SearchReport<G::Move>> = self.pool.map_indexed(&mut slots, |i, ()| {
             if plan.component_dead(fault_key, i as u64) {
                 return empty_report();
@@ -129,8 +122,7 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
             let stream = base
                 .wrapping_add(i as u64)
                 .wrapping_add(gen.wrapping_mul(0x1000 * 31));
-            let mut s = SequentialSearcher::<G>::with_stream(config.clone(), stream);
-            s.search(root, budget)
+            SequentialSearcher::<G>::with_stream(config.clone(), stream).search(root, budget)
         });
 
         let merged = merge_root_stats(
@@ -139,38 +131,23 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
                 .map(|r| r.root_stats.clone())
                 .collect::<Vec<_>>(),
         );
-        // Threads run concurrently: elapsed = the slowest tree, and the
-        // phase times are that critical tree's (so they still sum to
-        // elapsed exactly); work counters are summed over all trees.
-        let mut phases = PhaseBreakdown::new();
-        for r in &reports {
-            phases.absorb_counters(&r.phases);
-        }
         // Count dead trees by re-querying the pure plan (no search state).
-        for i in 0..trees as u64 {
-            if plan.component_dead(fault_key, i) {
-                phases.faults.injected += 1;
-                phases.faults.excluded += 1;
-            }
-        }
-        let crit = critical_index(reports.iter().map(|r| r.elapsed));
-        if let Some(i) = crit {
-            phases.adopt_times(&reports[i].phases);
-        }
-        let elapsed = crit
-            .map(|i| reports[i].elapsed)
-            .unwrap_or(pmcts_util::SimTime::ZERO);
-        phases.budget_overshoot = crate::searcher::overshoot_of(budget, elapsed);
-        SearchReport {
-            best_move: best_from_stats(&merged, config.final_move),
-            simulations: reports.iter().map(|r| r.simulations).sum(),
-            iterations: reports.iter().map(|r| r.iterations).sum(),
-            tree_nodes: reports.iter().map(|r| r.tree_nodes).sum(),
-            max_depth: reports.iter().map(|r| r.max_depth).max().unwrap_or(0),
-            elapsed,
-            root_stats: merged,
-            phases,
-        }
+        let dead = (0..self.threads as u64)
+            .filter(|&i| plan.component_dead(fault_key, i))
+            .count() as u64;
+        let faults = FaultCounters {
+            injected: dead,
+            excluded: dead,
+            ..FaultCounters::default()
+        };
+        merge_reports(
+            &reports,
+            merged,
+            SimTime::ZERO,
+            faults,
+            budget,
+            config.final_move,
+        )
     }
 
     fn name(&self) -> String {
@@ -178,13 +155,128 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
     }
 }
 
+/// Folds the reports of `components` that searched one root concurrently
+/// into a single report around their `merged` root statistics.
+///
+/// Components run side by side, so elapsed is the critical component's
+/// (slowest, first on ties) plus `merge_cost`, and the phase times are that
+/// component's with `merge_cost` added to `merge` — they still sum to
+/// elapsed exactly. Work counters are summed over all components, plus the
+/// merge's own `faults`; `max_depth` is the deepest component's.
+pub(crate) fn merge_reports<M: Copy>(
+    components: &[SearchReport<M>],
+    merged: Vec<RootStat<M>>,
+    merge_cost: SimTime,
+    faults: FaultCounters,
+    budget: SearchBudget,
+    final_move: FinalMoveRule,
+) -> SearchReport<M> {
+    let mut phases = PhaseBreakdown::new();
+    for r in components {
+        phases.absorb_counters(&r.phases);
+    }
+    phases.faults.absorb(&faults);
+    let crit = critical_index(components.iter().map(|r| r.elapsed));
+    if let Some(i) = crit {
+        phases.adopt_times(&components[i].phases);
+    }
+    phases.merge += merge_cost;
+    let elapsed = crit.map_or(SimTime::ZERO, |i| components[i].elapsed) + merge_cost;
+    phases.budget_overshoot = overshoot_of(budget, elapsed);
+    SearchReport {
+        best_move: best_from_stats(&merged, final_move),
+        simulations: components.iter().map(|r| r.simulations).sum(),
+        iterations: components.iter().map(|r| r.iterations).sum(),
+        tree_nodes: components.iter().map(|r| r.tree_nodes).sum(),
+        max_depth: components.iter().map(|r| r.max_depth).max().unwrap_or(0),
+        elapsed,
+        root_stats: merged,
+        phases,
+    }
+}
+
+/// Runs `ranks` simulated MPI ranks over `network`, rank `r` searching with
+/// `search(stream)` on stream `gen · ranks + r`, allreduces their root
+/// statistics and merges the rank reports with [`merge_reports`], the
+/// allreduce as merge cost.
+///
+/// Faults are keyed by the search generation `gen`. A dead rank produces
+/// nothing; a live rank may have its contribution dropped by the network
+/// (it searched, but its statistics miss the merge). Both still join the
+/// sparse allreduce, so nothing can hang, and each counts as one injected
+/// and one excluded fault. Any such failure prices the allreduce at the
+/// detection timeout; otherwise the network schedule may delay-spike it.
+/// Rank 0 is never dead and never dropped, so a merge always exists.
+pub(crate) fn run_ranks<M: Copy + Eq + Send + 'static>(
+    config: &MctsConfig,
+    ranks: usize,
+    network: NetworkModel,
+    gen: u64,
+    budget: SearchBudget,
+    search: impl Fn(u64) -> SearchReport<M> + Sync,
+) -> SearchReport<M> {
+    let plan = config.faults;
+    let per_rank = World::run(ranks, network, |comm| {
+        let rank = comm.rank() as u64;
+        let (report, contribution) = if plan.component_dead(gen, rank) {
+            (empty_report(), None)
+        } else {
+            let report = search(gen * ranks as u64 + rank);
+            let contribution =
+                (!plan.drops_contribution(gen, rank)).then(|| report.root_stats.clone());
+            (report, contribution)
+        };
+        let merged = comm.allreduce_sparse(contribution, |a, b| merge_root_stats(&[a, b]));
+        (report, merged)
+    });
+    let merged = per_rank[0].1.clone().unwrap_or_default();
+    // Every rank must agree after the allreduce.
+    debug_assert!(per_rank
+        .iter()
+        .all(|(_, m)| m.as_deref() == Some(&merged[..])));
+    let reports: Vec<SearchReport<M>> = per_rank.into_iter().map(|(r, _)| r).collect();
+
+    let mut faults = FaultCounters::default();
+    for rank in 0..ranks as u64 {
+        if plan.component_dead(gen, rank) || plan.drops_contribution(gen, rank) {
+            faults.injected += 1;
+            faults.excluded += 1;
+        }
+    }
+    let stats_bytes = (merged.len() * std::mem::size_of::<RootStat<M>>()) as u64;
+    let base = network.allreduce_time(stats_bytes, ranks);
+    let merge_cost = if faults.excluded > 0 {
+        plan.net_timeout(base)
+    } else if let Some(factor) = plan.net_delay_spike(gen, 0) {
+        faults.injected += 1;
+        base * factor as u64
+    } else {
+        base
+    };
+    merge_reports(
+        &reports,
+        merged,
+        merge_cost,
+        faults,
+        budget,
+        config.final_move,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi_gpu::MultiGpuSearcher;
+    use crate::multi_node_cpu::MultiNodeCpuSearcher;
     use pmcts_games::{Reversi, TicTacToe};
+    use pmcts_gpu_sim::{DeviceSpec, LaunchConfig};
 
     fn cfg(seed: u64) -> MctsConfig {
         MctsConfig::default().with_seed(seed)
+    }
+
+    fn pool(workers: usize) -> Arc<WorkerPool> {
+        Arc::new(WorkerPool::new(workers))
     }
 
     #[test]
@@ -260,7 +352,7 @@ mod tests {
     fn results_independent_of_host_worker_count() {
         let run = |workers| {
             RootParallelSearcher::<Reversi>::new(cfg(10), 16)
-                .with_workers(workers)
+                .with_pool(pool(workers))
                 .search(Reversi::initial(), SearchBudget::Iterations(40))
         };
         let serial = run(1);
@@ -273,8 +365,41 @@ mod tests {
     #[test]
     fn many_simulated_threads_on_few_workers() {
         // 128 simulated CPU threads must work on a small host.
-        let mut s = RootParallelSearcher::<Reversi>::new(cfg(11), 128).with_workers(4);
+        let mut s = RootParallelSearcher::<Reversi>::new(cfg(11), 128).with_pool(pool(4));
         let r = s.search(Reversi::initial(), SearchBudget::Iterations(10));
         assert_eq!(r.simulations, 128 * 10);
+    }
+
+    #[test]
+    fn allreduce_is_the_only_network_cost() {
+        // Both rank searchers over an ideal and an InfiniBand network: the
+        // ranks search identically, and the allreduce is the only
+        // difference, charged once to `merge` and once to elapsed.
+        let budget = SearchBudget::Iterations(4);
+        let run = |net: NetworkModel| {
+            [
+                MultiGpuSearcher::<Reversi>::new(
+                    cfg(12),
+                    4,
+                    DeviceSpec::tesla_c2050(),
+                    LaunchConfig::new(2, 32),
+                    net,
+                )
+                .with_pool(pool(2))
+                .search(Reversi::initial(), budget),
+                MultiNodeCpuSearcher::<Reversi>::new(cfg(12), 4, 2, net)
+                    .with_pool(pool(2))
+                    .search(Reversi::initial(), budget),
+            ]
+        };
+        let ideal = run(NetworkModel::ideal());
+        let infiniband = run(NetworkModel::infiniband());
+        for (ideal, real) in ideal.iter().zip(&infiniband) {
+            assert_eq!(ideal.phases.merge, SimTime::ZERO);
+            assert!(real.phases.merge > SimTime::ZERO);
+            assert_eq!(real.elapsed, ideal.elapsed + real.phases.merge);
+            assert_eq!(real.root_stats, ideal.root_stats);
+            assert_eq!(real.phases.phase_sum(), real.elapsed);
+        }
     }
 }

@@ -27,7 +27,8 @@
 //! | `merge`    | cross-rank statistics allreduce (multi-GPU / multi-node) |
 //!
 //! For schemes whose `elapsed` is a **max** over concurrent components
-//! (root/tree parallelism, MPI ranks), the phase times are those of the
+//! (root parallelism, MPI ranks — all merged by one function,
+//! `root_parallel::merge_reports`), the phase times are those of the
 //! critical-path component — the slowest tree/worker/rank, first index on
 //! ties — so the sum identity still holds; the *counters* are summed over
 //! every component.
@@ -41,7 +42,7 @@
 //! the identity is over all seven phases, zeros included.
 
 use pmcts_gpu_sim::KernelStats;
-use pmcts_util::{FaultCounters, FaultPlan, SimTime};
+use pmcts_util::{FaultCounters, SimTime};
 
 /// Exact per-phase decomposition of one search's virtual time, plus
 /// work counters and folded kernel statistics.
@@ -208,39 +209,6 @@ impl PhaseBreakdown {
         self.kernel = other.kernel;
         self.readback = other.readback;
         self.merge = other.merge;
-    }
-}
-
-/// Host-side fault accounting for one cross-rank statistics merge.
-///
-/// Re-queries the pure fault plan to count dead and contribution-dropping
-/// ranks (each is one injected + one excluded fault), then prices the
-/// allreduce: the detection *timeout* when any rank failed, a delay-spiked
-/// cost when the network schedule says so, the base cost otherwise. Under
-/// [`FaultPlan::none`] this returns exactly `base()` and touches nothing.
-pub(crate) fn rank_merge_cost(
-    plan: &FaultPlan,
-    phases: &mut PhaseBreakdown,
-    key: u64,
-    ranks: usize,
-    base: impl FnOnce() -> SimTime,
-) -> SimTime {
-    let mut failed = false;
-    for rank in 0..ranks as u64 {
-        if plan.component_dead(key, rank) || plan.drops_contribution(key, rank) {
-            phases.faults.injected += 1;
-            phases.faults.excluded += 1;
-            failed = true;
-        }
-    }
-    let base = base();
-    if failed {
-        plan.net_timeout(base)
-    } else if let Some(factor) = plan.net_delay_spike(key, 0) {
-        phases.faults.injected += 1;
-        base * factor as u64
-    } else {
-        base
     }
 }
 

@@ -617,29 +617,6 @@ impl<G: Game> SearchTree<G> {
         }
     }
 
-    /// Adds `n` to `id`'s visit count without touching ancestors. Used by
-    /// tree parallelism for virtual loss marking.
-    #[inline]
-    pub fn add_visits(&mut self, id: NodeId, n: u64) {
-        self.visits[id as usize] += n;
-    }
-
-    /// Removes `n` from `id`'s visit count (virtual loss unmarking).
-    ///
-    /// Saturates at zero: removing more virtual loss than was added is a
-    /// caller bug (caught by a debug assertion), but in release builds it
-    /// must not wrap `u64` — a wrapped count makes `ln(visits)` explode and
-    /// silently corrupts every subsequent UCB comparison.
-    #[inline]
-    pub fn sub_visits(&mut self, id: NodeId, n: u64) {
-        let v = &mut self.visits[id as usize];
-        debug_assert!(
-            *v >= n,
-            "sub_visits underflow: removing {n} virtual visits but only {v} present"
-        );
-        *v = v.saturating_sub(n);
-    }
-
     /// WU-UCT unobserved in-flight count at `id` (0 unless a corrected
     /// searcher currently has a batch registered through the node).
     #[inline]
@@ -674,9 +651,9 @@ impl<G: Game> SearchTree<G> {
     /// dispatched batch — when its results backpropagate, when its launch
     /// is voided by a fault, or before degraded CPU fallback playouts.
     ///
-    /// Saturates at zero like [`Self::sub_visits`]: an unbalanced rollback
-    /// is a caller bug (caught by the debug assertion), but a wrapped count
-    /// must never poison subsequent corrected-UCB comparisons.
+    /// Saturates at zero: an unbalanced rollback is a caller bug (caught by
+    /// the debug assertion), but a wrapped count must never poison
+    /// subsequent corrected-UCB comparisons.
     pub fn sub_inflight_path(&mut self, from: NodeId, n: u32) {
         let mut id = from;
         loop {
@@ -1391,18 +1368,6 @@ mod tests {
             };
             t.backprop(node, 0.5, 1);
         }
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "sub_visits underflow"))]
-    fn sub_visits_underflow_saturates_in_release() {
-        let mut t = SearchTree::new(Reversi::initial());
-        t.add_visits(0, 1);
-        // Removing more virtual loss than was added: debug builds panic on
-        // the assertion; release builds clamp to zero instead of wrapping
-        // to ~u64::MAX and poisoning every later ln(visits).
-        t.sub_visits(0, 5);
-        assert_eq!(t.visits(0), 0);
     }
 
     #[test]

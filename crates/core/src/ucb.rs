@@ -49,6 +49,14 @@ pub fn ucb1_with_ln(ln_parent_visits: f64, child_visits: u64, child_wins: f64, c
 /// caller passing the plain `ln T`) the expression is bit-identical to
 /// [`ucb1_with_ln`] — the correction vanishes, it never perturbs a
 /// zero-width search.
+///
+/// Term for term this is Chaslot et al.'s virtual loss (the paper's ref
+/// \[3\]) with weight = in-flight playouts and zero reward: each in-flight
+/// playout counts as one more visit that won nothing, exactly what a
+/// lock-based tree-parallel searcher deposits on its path. Liu et al. keep
+/// the exploitation term at the observed mean `S_i / t_i`; that variant
+/// would change every corrected selection (and the committed `frontier`
+/// artifact), so it is not what is implemented here.
 #[inline]
 pub fn ucb1_corrected_with_ln(
     ln_parent_total: f64,

@@ -49,7 +49,7 @@ use crate::searcher::{BudgetTracker, SearchReport};
 use crate::service::LaunchRecord;
 use crate::telemetry::PhaseBreakdown;
 use pmcts_games::Game;
-use pmcts_gpu_sim::{BatchSegment, Device, LaunchConfig, WorkerPool};
+use pmcts_gpu_sim::{BatchSegment, Device, KernelStats, LaunchConfig, WorkerPool};
 use pmcts_util::{FaultPlan, GpuFault, SimTime, Xoshiro256pp};
 use std::sync::Arc;
 
@@ -361,16 +361,7 @@ impl Launcher {
                 .device
                 .launch_batched(&kernel, self.threads_per_block, &segments);
             let mut stats = batched.result.stats.clone();
-            if let Some(factor) = faults
-                .iter()
-                .filter_map(|f| match f {
-                    GpuFault::Slowdown(factor) => Some(*factor),
-                    _ => None,
-                })
-                .max()
-            {
-                stats.device_time = stats.device_time * factor.max(1) as u64;
-            }
+            slow_down(&mut stats, &faults);
             if let Some(records) = &mut self.records {
                 records.push(LaunchRecord {
                     sessions: wave.len() as u32,
@@ -447,6 +438,21 @@ pub(crate) fn void_of(fault: GpuFault, phases: &mut PhaseBreakdown) -> Option<us
         }
         _ => None,
     }
+}
+
+/// Stretches a completed launch's device time by the largest
+/// [`GpuFault::Slowdown`] factor among `faults` (floored at 1). The kernel
+/// itself ran fault-free, so its outputs and RNG draws are untouched.
+pub(crate) fn slow_down(stats: &mut KernelStats, faults: &[GpuFault]) {
+    let factor = faults
+        .iter()
+        .map(|f| match f {
+            GpuFault::Slowdown(factor) => *factor,
+            _ => 1,
+        })
+        .max()
+        .unwrap_or(1);
+    stats.device_time = stats.device_time * factor.max(1) as u64;
 }
 
 /// What a wave searcher keeps between searches: its configuration and

@@ -13,6 +13,14 @@
 //! batch discounts its own path exactly as if its samples had landed with
 //! unknown outcome.
 //!
+//! The implemented correction is Chaslot et al.'s virtual loss (the paper's
+//! ref \[3\]) with weight = in-flight playouts and zero reward, term for
+//! term what lock-based tree parallelism deposits on its path. This
+//! searcher is therefore also the crate's tree parallelism, made
+//! deterministic: wave composition is fixed in block order instead of by
+//! lock interleaving. Liu et al. keep the exploitation term at the
+//! observed mean instead; see [`ucb1_corrected_with_ln`].
+//!
 //! This searcher therefore runs **one shared tree**: per wave it performs
 //! `B` corrected selections *sequentially in block order* (block `b` sees
 //! the `O` registered by blocks `0..b` of the same wave — in-flight
@@ -327,8 +335,8 @@ mod tests {
 
     #[test]
     fn no_inflight_residue_and_visits_account_exactly() {
-        // Mirrors tree parallelism's `no_virtual_loss_residue`: after the
-        // search every O counter is zero and the root mass equals the
+        // The virtual-loss residue check: after the search every O
+        // counter is zero and the root mass equals the
         // simulations — in-flight corrections never leak into statistics.
         let mut s = WuUctSearcher::<Reversi>::new(cfg(2), device(), LaunchConfig::new(8, 32));
         let (tree, r) = search_tree(&mut s, SearchBudget::Iterations(50));

@@ -7,8 +7,7 @@
 //!    outputs *and* full `KernelStats` — to the per-step masked lockstep
 //!    interpreter retained as the oracle.
 //! 2. Every searcher's `SearchReport` is bit-identical regardless of how
-//!    many real host worker threads execute it. Only
-//!    `TreeParallelSearcher` is exempt, by design.
+//!    many real host worker threads execute it.
 
 use pmcts_core::gpu::PlayoutKernel;
 use pmcts_core::prelude::*;
@@ -282,7 +281,7 @@ fn hybrid_identical_across_host_threads() {
 #[test]
 fn root_parallel_identical_across_host_threads() {
     assert_reports_identical("root", SearchBudget::Iterations(30), |t| {
-        Box::new(RootParallelSearcher::new(cfg(24), 8).with_workers(t))
+        Box::new(RootParallelSearcher::new(cfg(24), 8).with_pool(Arc::new(WorkerPool::new(t))))
     });
 }
 
@@ -291,7 +290,6 @@ fn root_parallel_identical_on_shared_pool() {
     // Sharing a device's pool (instead of owning one) must not change
     // results either.
     let owned = RootParallelSearcher::<Reversi>::new(cfg(25), 6)
-        .with_workers(1)
         .search(Reversi::initial(), SearchBudget::Iterations(20));
     let pool = Arc::new(WorkerPool::new(4));
     let shared = RootParallelSearcher::<Reversi>::new(cfg(25), 6)
@@ -579,7 +577,10 @@ fn hybrid_with_faults_identical_across_host_threads() {
 #[test]
 fn root_parallel_with_faults_identical_across_host_threads() {
     assert_reports_identical("root+faults", SearchBudget::Iterations(20), |t| {
-        Box::new(RootParallelSearcher::new(cfg(34).with_faults(mixed_plan(44)), 8).with_workers(t))
+        Box::new(
+            RootParallelSearcher::new(cfg(34).with_faults(mixed_plan(44)), 8)
+                .with_pool(Arc::new(WorkerPool::new(t))),
+        )
     });
 }
 

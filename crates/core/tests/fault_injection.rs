@@ -12,11 +12,14 @@
 //! 3. **Graceful degradation**: every scheme still returns a best move
 //!    under 100% fault rates, the phase-sum identity `phase_sum() ==
 //!    elapsed` survives every fault path, and merged statistics stay
-//!    additive over the surviving components.
+//!    additive over the surviving components — for root-parallel,
+//!    multi-GPU and multi-node search also over random component counts
+//!    and mixed dead / dropped / delayed plans (one ensemble merge).
 
 use pmcts_core::prelude::*;
 use pmcts_gpu_sim::WorkerPool;
 use pmcts_mpi_sim::NetworkModel;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn fingerprint<M: std::fmt::Debug>(r: &SearchReport<M>) -> String {
@@ -41,6 +44,10 @@ fn cfg(seed: u64) -> MctsConfig {
 
 fn device() -> Device {
     Device::new(DeviceSpec::tesla_c2050()).with_host_threads(2)
+}
+
+fn pool(workers: usize) -> Arc<WorkerPool> {
+    Arc::new(WorkerPool::new(workers))
 }
 
 fn assert_healthy<M: Copy>(r: &SearchReport<M>) {
@@ -110,7 +117,7 @@ fn zero_fault_pin_hybrid() {
 #[test]
 fn zero_fault_pin_root_parallel() {
     let r = RootParallelSearcher::<Reversi>::new(cfg(104), 4)
-        .with_workers(2)
+        .with_pool(pool(2))
         .search(Reversi::initial(), SearchBudget::Iterations(20));
     assert_eq!(
         fingerprint(&r),
@@ -127,7 +134,7 @@ fn zero_fault_pin_multi_gpu() {
         LaunchConfig::new(2, 32),
         NetworkModel::infiniband(),
     )
-    .with_pool(Arc::new(WorkerPool::new(2)))
+    .with_pool(pool(2))
     .search(Reversi::initial(), SearchBudget::Iterations(3));
     assert_eq!(
         fingerprint(&r),
@@ -232,7 +239,7 @@ fn net_delay_spikes_merge_cost_only() {
             LaunchConfig::new(2, 32),
             NetworkModel::infiniband(),
         )
-        .with_pool(Arc::new(WorkerPool::new(2)))
+        .with_pool(pool(2))
         .search(Reversi::initial(), SearchBudget::Iterations(3))
     };
     let clean = mk(FaultPlan::none());
@@ -259,7 +266,7 @@ fn multi_gpu_survives_dead_ranks() {
         LaunchConfig::new(2, 32),
         NetworkModel::infiniband(),
     )
-    .with_pool(Arc::new(WorkerPool::new(2)))
+    .with_pool(pool(2))
     .search(Reversi::initial(), SearchBudget::Iterations(3));
     // Rank 0 is immune; ranks 1 and 2 are dead and contribute nothing.
     assert_eq!(r.phases.faults.excluded, (ranks - 1) as u64);
@@ -278,7 +285,7 @@ fn multi_gpu_dropped_contribution_is_excluded_from_merge() {
         LaunchConfig::new(2, 32),
         NetworkModel::infiniband(),
     )
-    .with_pool(Arc::new(WorkerPool::new(2)))
+    .with_pool(pool(2))
     .search(Reversi::initial(), SearchBudget::Iterations(3));
     // Both ranks searched (simulations count them all) but rank 1's packet
     // was dropped: its statistics are missing from the merge.
@@ -315,7 +322,7 @@ fn root_parallel_survives_dead_trees() {
         cfg(116).with_faults(FaultPlan::dead_component(16, 1.0)),
         4,
     )
-    .with_workers(2)
+    .with_pool(pool(2))
     .search(Reversi::initial(), SearchBudget::Iterations(20));
     // Trees 1..3 dead; tree 0 alone runs its full budget.
     assert_eq!(r.simulations, 20);
@@ -330,7 +337,7 @@ fn faulty_runs_are_deterministic_across_host_workers() {
             cfg(117).with_faults(FaultPlan::dead_component(17, 0.5)),
             8,
         )
-        .with_workers(workers)
+        .with_pool(pool(workers))
         .search(Reversi::initial(), SearchBudget::Iterations(15))
     };
     assert_eq!(run(1), run(8), "fault schedule must not depend on timing");
@@ -353,4 +360,96 @@ fn low_rate_faults_fire_somewhere_but_not_everywhere() {
         "not every launch may hang at a 30% rate"
     );
     assert_healthy(&r);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The one ensemble merge behind root-parallel, multi-GPU and
+    /// multi-node search: under random seeds, component counts and mixed
+    /// dead / dropped / delayed plans the ledger stays exact, the merged
+    /// root visits are exactly the work of the components whose statistics
+    /// reached the merge, and `excluded` counts exactly the dead and
+    /// dropped components that the pure plan names.
+    #[test]
+    fn ensemble_merge_accounts_for_every_component(
+        seed in any::<u64>(),
+        n in 1usize..5,
+        dead_pct in 0u32..101,
+        drop_pct in 0u32..101,
+        delay_pct in 0u32..101,
+    ) {
+        let plan = FaultPlan {
+            seed,
+            dead_component_rate: f64::from(dead_pct) / 100.0,
+            net_drop_rate: f64::from(drop_pct) / 100.0,
+            net_delay_rate: f64::from(delay_pct) / 100.0,
+            net_delay_factor: 3,
+            ..FaultPlan::none()
+        };
+        let config = cfg(seed).with_faults(plan);
+        let components = n as u64;
+        let count = |hit: &dyn Fn(u64) -> bool| (0..components).filter(|&c| hit(c)).count() as u64;
+        // A fresh searcher's first search is generation 1: root parallelism
+        // keys tree faults by (stream base 0) ^ generation · φ, the rank
+        // driver keys rank faults by the generation itself.
+        let tree_key = 0x9E37_79B9_7F4A_7C15;
+        let dead_trees = count(&|c| plan.component_dead(tree_key, c));
+        let dead_ranks = count(&|c| plan.component_dead(1, c));
+        let dropped_ranks = count(&|c| !plan.component_dead(1, c) && plan.drops_contribution(1, c));
+
+        let (root, iters) = (Reversi::initial(), 3);
+        let budget = SearchBudget::Iterations(iters);
+        let net = NetworkModel::infiniband();
+        // (scheme, report, simulations per live component, dead, dropped):
+        // a rank of 2 × 32 lanes runs 64 playouts per iteration; one thread
+        // per node keeps every multi-node rank at exactly its budget.
+        let cases = [
+            (
+                "root_parallel",
+                RootParallelSearcher::<Reversi>::new(config.clone(), n)
+                    .with_pool(pool(2))
+                    .search(root, budget),
+                iters,
+                dead_trees,
+                0,
+            ),
+            (
+                "multi_gpu",
+                MultiGpuSearcher::<Reversi>::new(
+                    config.clone(),
+                    n,
+                    DeviceSpec::tesla_c2050(),
+                    LaunchConfig::new(2, 32),
+                    net,
+                )
+                .with_pool(pool(2))
+                .search(root, budget),
+                iters * 64,
+                dead_ranks,
+                dropped_ranks,
+            ),
+            (
+                "multi_node_cpu",
+                MultiNodeCpuSearcher::<Reversi>::new(config, n, 1, net)
+                    .with_pool(pool(2))
+                    .search(root, budget),
+                iters,
+                dead_ranks,
+                dropped_ranks,
+            ),
+        ];
+        for (scheme, r, per, dead, dropped) in cases {
+            prop_assert_eq!(r.phases.phase_sum(), r.elapsed, "{} ledger", scheme);
+            prop_assert_eq!(r.simulations, per * (components - dead), "{} work", scheme);
+            let visits: u64 = r.root_stats.iter().map(|s| s.visits).sum();
+            prop_assert_eq!(
+                visits,
+                per * (components - dead - dropped),
+                "{} merged visits",
+                scheme
+            );
+            prop_assert_eq!(r.phases.faults.excluded, dead + dropped, "{} excluded", scheme);
+        }
+    }
 }

@@ -2,9 +2,7 @@
 //!
 //! 1. **Exactness** — the six phase times of `SearchReport::phases` sum to
 //!    `elapsed` to the nanosecond (virtual time has no measurement noise).
-//! 2. **Determinism** — the same seed yields a bit-identical breakdown
-//!    (`TreeParallelSearcher` is exempt by design: its interleaving depends
-//!    on the OS scheduler, though exactness must still hold).
+//! 2. **Determinism** — the same seed yields a bit-identical breakdown.
 //! 3. **Honest throughput** — a virtual-time budget's final iteration
 //!    overshoot stays in `elapsed` (not clamped), so `sims_per_second`
 //!    reflects time actually spent.
@@ -62,10 +60,6 @@ fn all_schemes(seed: u64) -> Vec<(&'static str, BoxedSearcher)> {
         (
             "root_parallel",
             Box::new(RootParallelSearcher::<Reversi>::new(cfg.clone(), 4)),
-        ),
-        (
-            "tree_parallel",
-            Box::new(TreeParallelSearcher::<Reversi>::new(cfg.clone(), 4)),
         ),
         (
             "multi_gpu",
@@ -130,9 +124,6 @@ fn same_seed_gives_bit_identical_breakdowns() {
             .collect::<Vec<_>>()
     };
     for ((name, a), (_, b)) in run_all().into_iter().zip(run_all()) {
-        if name == "tree_parallel" {
-            continue; // non-deterministic by design (OS-scheduled workers)
-        }
         assert_eq!(
             a.phases, b.phases,
             "{name}: same seed must reproduce the breakdown bit-for-bit"

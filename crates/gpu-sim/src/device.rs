@@ -8,11 +8,11 @@
 //! C2050, but every experiment re-derives its conclusions from the model, so
 //! the *shapes* are robust to recalibration.
 
-use crate::executor::{apply_fault, execute_kernel};
+use crate::executor::execute_kernel;
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::launch::{LaunchResult, PendingLaunch};
 use crate::pool::WorkerPool;
-use pmcts_util::{GpuFault, SimTime};
+use pmcts_util::SimTime;
 use std::sync::Arc;
 
 /// Description of a simulated GPU and its cost model.
@@ -218,46 +218,11 @@ impl Device {
         K: Kernel + Send + Sync + 'static,
         K::Output: 'static,
     {
-        self.launch_async_with_fault(kernel, config, GpuFault::None)
-    }
-
-    /// Synchronous launch with a pre-drawn injected fault.
-    ///
-    /// The kernel executes exactly as in [`launch`](Self::launch) (so every
-    /// RNG draw matches the fault-free run); the fault is overlaid on the
-    /// result afterwards — see [`crate::executor::apply_fault`].
-    pub fn launch_with_fault<K: Kernel>(
-        &self,
-        kernel: &K,
-        config: LaunchConfig,
-        fault: GpuFault,
-    ) -> LaunchResult<K::Output> {
-        let mut result = self.launch(kernel, config);
-        apply_fault(&mut result, fault);
-        result
-    }
-
-    /// Asynchronous launch with a pre-drawn injected fault.
-    ///
-    /// The fault is overlaid by the pool worker just before completion, so
-    /// the handle's result already reflects it.
-    pub fn launch_async_with_fault<K>(
-        &self,
-        kernel: Arc<K>,
-        config: LaunchConfig,
-        fault: GpuFault,
-    ) -> PendingLaunch<K::Output>
-    where
-        K: Kernel + Send + Sync + 'static,
-        K::Output: 'static,
-    {
         config.validate(&self.spec);
         let spec = Arc::clone(&self.spec);
         let pool = Arc::clone(&self.pool);
         PendingLaunch::spawn_on(&self.pool, move || {
-            let mut result = execute_kernel(&*kernel, &config, &spec, &pool);
-            apply_fault(&mut result, fault);
-            result
+            execute_kernel(&*kernel, &config, &spec, &pool)
         })
     }
 }
@@ -289,48 +254,6 @@ mod tests {
         assert_eq!(s.transfer_time(0), s.transfer_latency);
         assert!(s.transfer_time(1 << 20) > s.transfer_latency);
         assert_eq!(DeviceSpec::scalar().transfer_time(1 << 20), SimTime::ZERO);
-    }
-
-    #[test]
-    fn fault_overlay_leaves_outputs_identical() {
-        use crate::kernel::ThreadId;
-        struct Id;
-        impl crate::kernel::Kernel for Id {
-            type ThreadState = ();
-            type Output = u32;
-            fn init(&self, _tid: ThreadId) {}
-            fn step(&self, _s: &mut (), _tid: ThreadId) -> bool {
-                true
-            }
-            fn finish(&self, _s: (), tid: ThreadId) -> u32 {
-                tid.global
-            }
-        }
-        let dev = Device::new(DeviceSpec::tesla_c2050()).with_host_threads(2);
-        let cfg = LaunchConfig::new(4, 32);
-        let clean = dev.launch(&Id, cfg);
-        assert_eq!(clean.fault, GpuFault::None);
-
-        let slow = dev.launch_with_fault(&Id, cfg, GpuFault::Slowdown(3));
-        assert_eq!(slow.outputs, clean.outputs);
-        assert_eq!(slow.fault, GpuFault::Slowdown(3));
-        assert_eq!(slow.stats.device_time, clean.stats.device_time * 3);
-        assert_eq!(slow.stats.launch_overhead, clean.stats.launch_overhead);
-        assert_eq!(slow.stats.readback_time, clean.stats.readback_time);
-
-        let hung = dev.launch_with_fault(&Id, cfg, GpuFault::Hang);
-        assert_eq!(hung.outputs, clean.outputs);
-        assert_eq!(
-            hung.stats, clean.stats,
-            "hang leaves accounting to the caller"
-        );
-        assert_eq!(hung.fault, GpuFault::Hang);
-
-        let aborted = dev
-            .launch_async_with_fault(std::sync::Arc::new(Id), cfg, GpuFault::BlockAbort(2))
-            .wait();
-        assert_eq!(aborted.outputs, clean.outputs);
-        assert_eq!(aborted.fault, GpuFault::BlockAbort(2));
     }
 
     #[test]

@@ -32,7 +32,6 @@ use crate::kernel::{Kernel, LaunchConfig, ThreadId};
 use crate::launch::LaunchResult;
 use crate::pool::WorkerPool;
 use crate::stats::KernelStats;
-use pmcts_util::GpuFault;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
@@ -232,26 +231,7 @@ fn fold_outcomes<K: Kernel>(
         occupancy: spec.occupancy(config),
     };
 
-    LaunchResult {
-        outputs,
-        stats,
-        fault: GpuFault::None,
-    }
-}
-
-/// Applies an injected fault to a finished launch.
-///
-/// The executor always runs the kernel fault-free; faults are an overlay on
-/// the *result*, so the lane programs (and hence every RNG draw) are
-/// identical with and without injection. [`GpuFault::Slowdown`] inflates
-/// the accounted device time; [`GpuFault::Hang`] and
-/// [`GpuFault::BlockAbort`] are only recorded — the caller's response
-/// policy decides what to void and what virtual time to charge.
-pub fn apply_fault<O>(result: &mut LaunchResult<O>, fault: GpuFault) {
-    if let GpuFault::Slowdown(factor) = fault {
-        result.stats.device_time = result.stats.device_time * factor.max(1) as u64;
-    }
-    result.fault = fault;
+    LaunchResult { outputs, stats }
 }
 
 /// Executes `kernel` over `config` on the simulated device described by

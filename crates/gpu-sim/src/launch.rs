@@ -9,7 +9,6 @@
 
 use crate::pool::WorkerPool;
 use crate::stats::KernelStats;
-use pmcts_util::GpuFault;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -21,12 +20,6 @@ pub struct LaunchResult<O> {
     pub outputs: Vec<O>,
     /// Cost and utilisation accounting.
     pub stats: KernelStats,
-    /// The fault injected into this launch, if any. On [`GpuFault::Hang`]
-    /// and [`GpuFault::BlockAbort`] the outputs (or the aborted block's
-    /// slice of them) are present but *void* — it is the caller's response
-    /// policy that must discard them; on [`GpuFault::Slowdown`] the stats
-    /// already carry the inflated device time.
-    pub fault: GpuFault,
 }
 
 /// The rendezvous slot a pool worker fills when the launch completes.

@@ -5,13 +5,12 @@
 # Usage: scripts/diff_artifacts.sh BASE
 #
 # Builds BASE in a temporary `git worktree`, then regenerates on both trees
-# the quick seed-7 fault matrix (Reversi and Hex 11x11), the serve and
-# fleet (`--sessions 64 --devices 4`) artifacts, the frontier, and the
-# profile canonicalised with `check_bench.py --canon` (wall-clock fields
-# stripped) minus its `tree_parallel` record, whose phase times depend on
-# the OS scheduler by design. Prints one line per artifact and exits
-# non-zero if any pair differs. Artifacts that only the working tree
-# produces are not compared.
+# the quick seed-7 fault matrix (Reversi, Hex 11x11 and service sessions),
+# the serve and fleet (`--sessions 64 --devices 4`) artifacts, the
+# frontier, and the profile canonicalised with `check_bench.py --canon`
+# (wall-clock fields stripped). Prints one line per artifact and exits
+# non-zero if any pair differs. An artifact BASE does not produce is
+# printed as `head-only` and not compared.
 set -euo pipefail
 
 base=${1:?usage: scripts/diff_artifacts.sh BASE}
@@ -36,6 +35,9 @@ generate() {
     "$bin/serve" --quick --seed 7 --sessions 64 --devices 4 --out "$out" >/dev/null 2>&1
     "$bin/frontier" --quick --seed 7 --out "$out" >/dev/null 2>&1
     "$bin/profile" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    # Bases that still have tree parallelism emit a `tree_parallel` profile
+    # record whose phase times depend on the OS scheduler; dropping it keeps
+    # diffs against those bases meaningful.
     python3 "$root/scripts/check_bench.py" --canon "$out/profile.json" | python3 -c '
 import json, sys
 records = [r for r in json.load(sys.stdin) if r.get("scheme") != "tree_parallel"]
@@ -47,8 +49,10 @@ generate "$work/base" "$work/out-base"
 generate "$root" "$work/out-head"
 
 status=0
-for f in fault_matrix.json fault_matrix_hex11.json serve.json fleet.json frontier.json profile.canon.json; do
-    if cmp -s "$work/out-base/$f" "$work/out-head/$f"; then
+for f in fault_matrix.json fault_matrix_hex11.json fault_matrix_service.json serve.json fleet.json frontier.json profile.canon.json; do
+    if [ ! -e "$work/out-base/$f" ]; then
+        echo "head-only  $f"
+    elif cmp -s "$work/out-base/$f" "$work/out-head/$f"; then
         echo "identical  $f"
     else
         echo "DIFFERENT  $f"

@@ -18,7 +18,13 @@ fn all_searchers(seed: u64) -> Vec<Box<dyn Searcher<Reversi>>> {
             LaunchConfig::new(4, 32),
         )),
         Box::new(RootParallelSearcher::<Reversi>::new(cfg.clone(), 4)),
-        Box::new(TreeParallelSearcher::<Reversi>::new(cfg.clone(), 4)),
+        // Tree parallelism: one shared tree, virtual loss per in-flight
+        // playout, waves composed deterministically.
+        Box::new(WuUctSearcher::<Reversi>::new(
+            cfg.clone(),
+            Device::c2050(),
+            LaunchConfig::new(4, 32),
+        )),
         Box::new(HybridSearcher::<Reversi>::new(
             cfg.clone(),
             Device::c2050(),
@@ -68,39 +74,8 @@ fn every_scheme_charges_virtual_time() {
 
 #[test]
 fn deterministic_schemes_reproduce_exactly() {
-    // All schemes except tree parallelism (inherently racy) must reproduce
-    // bit-identically from the same seed.
-    let deterministic = |seed: u64| {
-        let cfg = MctsConfig::default().with_seed(seed);
-        let searchers: Vec<Box<dyn Searcher<Reversi>>> = vec![
-            Box::new(SequentialSearcher::<Reversi>::new(cfg.clone())),
-            Box::new(LeafParallelSearcher::<Reversi>::new(
-                cfg.clone(),
-                Device::c2050(),
-                LaunchConfig::new(4, 32),
-            )),
-            Box::new(BlockParallelSearcher::<Reversi>::new(
-                cfg.clone(),
-                Device::c2050(),
-                LaunchConfig::new(4, 32),
-            )),
-            Box::new(RootParallelSearcher::<Reversi>::new(cfg.clone(), 4)),
-            Box::new(HybridSearcher::<Reversi>::new(
-                cfg.clone(),
-                Device::c2050(),
-                LaunchConfig::new(4, 32),
-            )),
-            Box::new(MultiGpuSearcher::<Reversi>::new(
-                cfg,
-                2,
-                DeviceSpec::tesla_c2050(),
-                LaunchConfig::new(4, 32),
-                pmcts::mpi_sim::NetworkModel::infiniband(),
-            )),
-        ];
-        searchers
-    };
-    for (mut a, mut b) in deterministic(77).into_iter().zip(deterministic(77)) {
+    // Every scheme reproduces bit-identically from the same seed.
+    for (mut a, mut b) in all_searchers(77).into_iter().zip(all_searchers(77)) {
         let ra = a.search(Reversi::initial(), SearchBudget::Iterations(6));
         let rb = b.search(Reversi::initial(), SearchBudget::Iterations(6));
         assert_eq!(
@@ -133,7 +108,6 @@ fn every_scheme_solves_tictactoe_tactics() {
             LaunchConfig::new(2, 32),
         )),
         Box::new(RootParallelSearcher::<TicTacToe>::new(cfg.clone(), 2)),
-        Box::new(TreeParallelSearcher::<TicTacToe>::new(cfg.clone(), 2)),
         Box::new(HybridSearcher::<TicTacToe>::new(
             cfg,
             Device::c2050(),
