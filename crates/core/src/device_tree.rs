@@ -45,14 +45,9 @@ use crate::tree::SearchTree;
 use crate::wave::{slow_down, void_of, Solo, LANE_SEED_STEP};
 use pmcts_games::{random_playout, Game, Player};
 use pmcts_gpu_sim::{
-    Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace, WorkerPool,
+    Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace,
 };
 use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
-
-/// Plies below an old root scanned when re-rooting resident trees
-/// (same rationale as `PersistentSearcher`: move + reply + one forced
-/// pass on each side).
-const REROOT_DEPTH: u32 = 4;
 
 /// Upper bound on rounds planned into a single persistent launch under a
 /// `VirtualTime` budget (keeps hang dry-runs and round cost distribution
@@ -66,7 +61,6 @@ pub struct DeviceTreeSearcher<G: Game> {
     config: MctsConfig,
     device: Device,
     launch: LaunchConfig,
-    tree_spec: DeviceTreeSpec,
     /// The launch epoch and fault schedule, shared with the hang fallback:
     /// block parallelism on this stream (host RNG for expansion picks and
     /// degraded CPU playouts), so the fallback is the same machine.
@@ -116,7 +110,6 @@ impl<G: Game> DeviceTreeSearcher<G> {
             config,
             device,
             launch,
-            tree_spec: DeviceTreeSpec::c2050_resident(),
             resident: None,
         }
     }
@@ -131,12 +124,6 @@ impl<G: Game> DeviceTreeSearcher<G> {
         self.launch.blocks
     }
 
-    /// Overrides the in-kernel cost constants (tests and ablations).
-    pub fn with_tree_spec(mut self, spec: DeviceTreeSpec) -> Self {
-        self.tree_spec = spec;
-        self
-    }
-
     /// Drops the resident trees (e.g. when starting a new game).
     pub fn reset(&mut self) {
         self.resident = None;
@@ -147,18 +134,11 @@ impl<G: Game> DeviceTreeSearcher<G> {
     /// device allocator adopting the compacted live prefix.
     fn prepare(&mut self, root: G) -> (Vec<SearchTree<G>>, Vec<DeviceAllocator>) {
         let blocks = self.launch.blocks as usize;
-        let trees: Vec<SearchTree<G>> = match self.resident.take() {
-            Some(old) if old.len() == blocks => old
-                .into_iter()
-                .map(|t| match t.find_state(&root, REROOT_DEPTH) {
-                    Some(id) => t.extract_subtree(id),
-                    None => SearchTree::for_config(root, &self.config),
-                })
-                .collect(),
-            _ => (0..blocks)
-                .map(|_| SearchTree::for_config(root, &self.config))
-                .collect(),
-        };
+        let resident = self.resident.take().filter(|old| old.len() == blocks);
+        let mut old = resident.unwrap_or_default().into_iter();
+        let trees: Vec<SearchTree<G>> = (0..blocks)
+            .map(|_| SearchTree::rerooted(old.next(), root, &self.config))
+            .collect();
         let allocs = trees
             .iter()
             .map(|t| {
@@ -243,9 +223,7 @@ fn lane_iteration<G: Game>(
 fn run_rounds<G: Game>(
     trees: &mut [SearchTree<G>],
     allocs: &mut [DeviceAllocator],
-    pool: &WorkerPool,
     launch: LaunchConfig,
-    tree_spec: &DeviceTreeSpec,
     device: &Device,
     rounds: u64,
     seed: u64,
@@ -253,7 +231,8 @@ fn run_rounds<G: Game>(
     voided: Option<usize>,
 ) -> (pmcts_gpu_sim::KernelStats, u64, u64) {
     let tpb = launch.threads_per_block as usize;
-    let runs: Vec<BlockRun> = pool.map_indexed(trees, |b, tree| {
+    let tree_spec = DeviceTreeSpec::c2050_resident();
+    let runs: Vec<BlockRun> = device.worker_pool().map_indexed(trees, |b, tree| {
         let mut run = BlockRun {
             per_lane: vec![(0, 0); tpb],
             ..BlockRun::default()
@@ -301,7 +280,7 @@ fn run_rounds<G: Game>(
         .sum::<u64>()
         * tree_spec.root_stat_bytes;
     let trace = TreeLaunchTrace::from_lanes(launch.threads_per_block, lanes);
-    let stats = trace.finish(tree_spec, device.spec(), &launch, readback_bytes);
+    let stats = trace.finish(&tree_spec, device.spec(), &launch, readback_bytes);
     (stats, sims, expansions)
 }
 
@@ -333,9 +312,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
                 let (stats, _, _) = run_rounds(
                     &mut dry_trees,
                     &mut dry_allocs,
-                    self.device.worker_pool(),
                     self.launch,
-                    &self.tree_spec,
                     &self.device,
                     rounds,
                     seed,
@@ -375,9 +352,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             let (mut stats, sims, expansions) = run_rounds(
                 &mut trees,
                 &mut allocs,
-                self.device.worker_pool(),
                 self.launch,
-                &self.tree_spec,
                 &self.device,
                 rounds,
                 seed,

@@ -3,212 +3,174 @@
 //! The paper observes that GPU-built trees are *shallower* than CPU trees:
 //! a kernel launch takes long, so the tree receives few (large) updates,
 //! while a CPU performs many quick single simulations and grows the tree
-//! toward the optimum faster. The fix: launch the kernel **asynchronously**
+//! toward the optimum faster. The fix: launch the kernel asynchronously
 //! and let the CPU keep running ordinary MCTS iterations on the same trees
 //! while the GPU simulates ("CPU can work here!" in Fig. 4), improving both
 //! depth and playing strength (paper Fig. 8).
 //!
-//! Determinism: the amount of CPU shadow work per launch is bounded by the
-//! *previous* kernel's virtual duration (an adaptive estimate), not by
-//! wall-clock polling, so results are reproducible while the kernel still
-//! genuinely executes in the background via
-//! [`pmcts_gpu_sim::PendingLaunch`].
+//! Here the overlap lives in virtual time; launches run to completion.
+//! `HybridEngine` is the block-parallel round plus a CPU shadow loop: after
+//! the round's selection, plain sequential iterations run round-robin over
+//! the same trees, and the kernel's results land after them. The loop is
+//! bounded by the *previous* kernel's virtual duration, not by wall-clock
+//! polling, so results are reproducible. The solo driver launches the
+//! round through the shared fault ladder, and the engine's billing hook
+//! charges the longer of kernel and shadow loop
+//! (`Ledger::charge_overlapped`), recording the shorter as
+//! `overlap_saved`.
+//!
+//! A hung kernel is not retried: its outputs are void, and the shadow loop
+//! runs on to the hang deadline, so the window still makes progress.
 
-use crate::block_parallel::{backprop_outputs, report_from_trees, select_and_expand_all};
+use crate::block_parallel::BlockEngine;
 use crate::config::{MctsConfig, SearchBudget};
-use crate::gpu::PlayoutKernel;
+use crate::gpu::LaneOutcome;
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::PhaseBreakdown;
-use crate::tree::SearchTree;
-use crate::wave::{slow_down, void_of, HostTime};
+use crate::wave::{HostTime, Ledger, PlayoutRequest, RoundEngine, Solo, Wave};
 use pmcts_games::Game;
-use pmcts_gpu_sim::{Device, GpuFault, LaunchConfig};
-use pmcts_util::{SimTime, Xoshiro256pp};
-use std::sync::Arc;
+use pmcts_gpu_sim::{Device, LaunchConfig};
+use pmcts_util::SimTime;
+
+/// Hybrid's fault stream and RNG salt.
+const HYBRID_KEY: u64 = 0x4B1D;
+
+/// Hybrid's lane-seed epoch multiplier.
+const HYBRID_SEED_STEP: u64 = 0x2545_F491_4F6C_DD1D;
 
 /// Hybrid CPU+GPU block-parallel searcher.
 #[derive(Clone, Debug)]
 pub struct HybridSearcher<G: Game> {
-    config: MctsConfig,
-    device: Device,
-    launch: LaunchConfig,
-    rng: Xoshiro256pp,
+    solo: Solo,
     cpu_worker: SequentialSearcher<G>,
-    epoch: u64,
-    _game: std::marker::PhantomData<fn() -> G>,
 }
 
 impl<G: Game> HybridSearcher<G> {
     /// Creates a hybrid searcher: block-parallel GPU search plus CPU
     /// iterations overlapped with every kernel launch.
     pub fn new(config: MctsConfig, device: Device, launch: LaunchConfig) -> Self {
-        let rng = Xoshiro256pp::derive(config.seed, 0x4B1D);
         let cpu_worker = SequentialSearcher::with_stream(config.clone(), 0xC0DE);
-        HybridSearcher {
-            config,
-            device,
-            launch,
-            rng,
-            cpu_worker,
-            epoch: 0,
-            _game: std::marker::PhantomData,
-        }
-    }
-
-    fn next_stream_seed(&mut self) -> u64 {
-        self.epoch += 1;
-        self.config
-            .seed
-            .wrapping_add(self.epoch.wrapping_mul(0x2545_F491_4F6C_DD1D))
+        let mut solo = Solo::new(config, device, launch, 0, HYBRID_KEY, HYBRID_SEED_STEP);
+        solo.fault_key = HYBRID_KEY;
+        HybridSearcher { solo, cpu_worker }
     }
 }
 
 impl<G: Game> Searcher<G> for HybridSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        let blocks = self.launch.blocks as usize;
-        let tpb = self.launch.threads_per_block as usize;
-        let mut trees: Vec<SearchTree<G>> = (0..blocks)
-            .map(|_| SearchTree::for_config(root, &self.config))
-            .collect();
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let cpu = self.config.cpu_cost;
-        let mut kernel_estimate: Option<SimTime> = None;
-        let mut cpu_turn = 0usize;
-        // Rolling estimate of one CPU iteration's cost, so the shadow loop
-        // never overshoots the overlap window (a real CPU would not start a
-        // simulation it cannot finish before the kernel completes).
-        // (floored at 1 ns so a free cost model cannot spin forever)
-        let mut est_iter = (cpu.tree_op(8) + cpu.playout(G::MAX_GAME_LENGTH as u32 / 2))
-            .max(SimTime::from_nanos(1));
-
-        // Host tree phases are block parallelism's, fanned out over the
-        // device's pool; RNG draw order and cost folding stay in block
-        // order, so reports are bit-identical for any pool size.
-        let pool = Arc::clone(self.device.worker_pool());
-
-        if !trees[0].is_terminal(0) {
-            let plan = self.config.faults;
-            while tracker.may_continue() {
-                let frontier = select_and_expand_all(
-                    &mut trees,
-                    &mut self.rng,
-                    self.config.exploration_c,
-                    &pool,
-                    &mut phases,
-                );
-                let host = HostTime::of(&cpu, &frontier);
-                host.bill(&mut phases);
-                let host_cost = cpu.launch_prep + host.total();
-
-                let kernel = Arc::new(PlayoutKernel::new(
-                    frontier.iter().map(|&(_, s, _)| s).collect(),
-                    self.next_stream_seed(),
-                ));
-                let fault = plan.gpu_fault(0x4B1D, self.epoch, self.launch.blocks);
-                let upload = self.device.spec().transfer_time(kernel.upload_bytes());
-                let pending = self.device.launch_async(kernel, self.launch);
-
-                // CPU shadow work while the kernel flies: plain sequential
-                // MCTS iterations, round-robin over the same trees, bounded
-                // by the previous kernel's virtual duration so accounting
-                // stays deterministic. Shadow phase times go into `scratch`
-                // first: whether they land in the breakdown depends on which
-                // side of the overlap is the critical path.
-                let mut shadow_elapsed = SimTime::ZERO;
-                let mut scratch = PhaseBreakdown::new();
-                if let Some(est) = kernel_estimate {
-                    let mut shadow = BudgetTracker::new(SearchBudget::VirtualTime(est));
-                    while shadow.elapsed + est_iter <= est {
-                        let before = shadow.elapsed;
-                        let tree = &mut trees[cpu_turn % blocks];
-                        self.cpu_worker
-                            .one_iteration(tree, &mut shadow, &mut scratch);
-                        est_iter = (shadow.elapsed - before).max(SimTime::from_nanos(1));
-                        cpu_turn += 1;
-                    }
-                    shadow_elapsed = shadow.elapsed;
-                    scratch.shadow_iterations = shadow.iterations;
-                }
-
-                let mut result = pending.wait();
-                slow_down(&mut result.stats, &[fault]);
-                let kernel_elapsed = result.stats.elapsed();
-
-                // A hung kernel's outputs are void; instead of idling to the
-                // virtual deadline the CPU absorbs the stall by *extending*
-                // its shadow loop over the same trees, so the window still
-                // makes progress. Completed launches (possibly slowed,
-                // possibly with one aborted block) read back as usual.
-                let gpu_side = if fault == GpuFault::Hang {
-                    let deadline = plan.hang_deadline(kernel_elapsed);
-                    phases.faults.injected += 1;
-                    phases.faults.degraded += 1;
-                    let mut shadow = BudgetTracker::new(SearchBudget::VirtualTime(deadline));
-                    shadow.elapsed = shadow_elapsed;
-                    while shadow.elapsed + est_iter <= deadline {
-                        let before = shadow.elapsed;
-                        let tree = &mut trees[cpu_turn % blocks];
-                        self.cpu_worker
-                            .one_iteration(tree, &mut shadow, &mut scratch);
-                        est_iter = (shadow.elapsed - before).max(SimTime::from_nanos(1));
-                        cpu_turn += 1;
-                    }
-                    scratch.shadow_iterations += shadow.iterations;
-                    shadow_elapsed = shadow.elapsed;
-                    deadline
-                } else {
-                    let voided = void_of(fault, &mut phases);
-                    backprop_outputs(
-                        &mut trees,
-                        &frontier,
-                        &result.outputs,
-                        tpb,
-                        voided,
-                        &pool,
-                        &mut phases,
-                    );
-                    phases.record_launch(&result.stats);
-                    kernel_elapsed
-                };
-
-                // The CPU work overlapped the kernel: charge the longer of
-                // the two, plus the non-overlapped host-sequential parts.
-                // The breakdown charges the critical side's phases; the
-                // hidden side's time is recorded as `overlap_saved`.
-                phases.upload += cpu.launch_prep + upload;
-                if gpu_side >= shadow_elapsed {
-                    if fault == GpuFault::Hang {
-                        phases.kernel += gpu_side;
-                    } else {
-                        phases.kernel += result.stats.launch_overhead + result.stats.device_time;
-                        phases.readback += result.stats.readback_time;
-                    }
-                    phases.overlap_saved += shadow_elapsed;
-                } else {
-                    phases.select += scratch.select;
-                    phases.expand += scratch.expand;
-                    phases.kernel += scratch.kernel;
-                    phases.overlap_saved += gpu_side;
-                }
-                phases.shadow_overlap += shadow_elapsed;
-                phases.absorb_counters(&scratch);
-
-                let overlapped = gpu_side.max(shadow_elapsed);
-                tracker.charge(host_cost + upload + overlapped);
-                kernel_estimate = Some(kernel_elapsed);
-            }
-        }
-
-        report_from_trees(&self.config, &trees, &tracker, phases)
+        let s = &mut self.solo;
+        let cpu = s.config.cpu_cost;
+        let mut engine = HybridEngine {
+            block: BlockEngine::solo(s, root, budget),
+            cpu: &mut self.cpu_worker,
+            est_iter: (cpu.tree_op(8) + cpu.playout(G::MAX_GAME_LENGTH as u32 / 2))
+                .max(SimTime::from_nanos(1)),
+            window: None,
+            turn: 0,
+            shadow: BudgetTracker::new(SearchBudget::Iterations(0)),
+            scratch: PhaseBreakdown::new(),
+        };
+        let report = s.run(&mut engine);
+        s.rng = engine.block.rng;
+        report
     }
 
     fn name(&self) -> String {
         format!(
             "hybrid CPU+GPU ({} blocks × {} threads)",
-            self.launch.blocks, self.launch.threads_per_block
+            self.solo.launch.blocks, self.solo.launch.threads_per_block
         )
+    }
+}
+
+/// The hybrid round: a [`BlockEngine`] whose kernel flights are filled
+/// with CPU shadow iterations on the same trees.
+struct HybridEngine<'a, G: Game> {
+    block: BlockEngine<G>,
+    cpu: &'a mut SequentialSearcher<G>,
+    /// The shadow window: the previous kernel's virtual duration (`None`
+    /// before the first launch).
+    window: Option<SimTime>,
+    /// A rolling estimate of one shadow iteration's cost, so the loop never
+    /// starts a simulation it cannot finish inside the window (floored at
+    /// 1 ns so a free cost model cannot spin forever).
+    est_iter: SimTime,
+    /// Shadow iterations run so far; the next one takes tree
+    /// `turn % blocks`.
+    turn: usize,
+    /// This round's shadow clock (its budget is never consulted), and its
+    /// phase times and counters. The times land in the ledger only if the
+    /// shadow side is critical.
+    shadow: BudgetTracker,
+    scratch: PhaseBreakdown,
+}
+
+impl<G: Game> HybridEngine<'_, G> {
+    /// Runs shadow iterations while the next one still fits before
+    /// `until` on this round's shadow clock.
+    fn shadow_until(&mut self, until: SimTime) {
+        let blocks = self.block.trees.len();
+        while self.shadow.elapsed + self.est_iter <= until {
+            let before = self.shadow.elapsed;
+            let tree = &mut self.block.trees[self.turn % blocks];
+            self.cpu
+                .one_iteration(tree, &mut self.shadow, &mut self.scratch);
+            self.est_iter = (self.shadow.elapsed - before).max(SimTime::from_nanos(1));
+            self.turn += 1;
+        }
+    }
+}
+
+impl<G: Game> RoundEngine<G> for HybridEngine<'_, G> {
+    fn ledger(&mut self) -> &mut Ledger {
+        &mut self.block.ledger
+    }
+
+    fn begin_round(&mut self) -> Option<PlayoutRequest<G>> {
+        let request = self.block.begin_round()?;
+        self.shadow = BudgetTracker::new(SearchBudget::Iterations(0));
+        self.scratch = PhaseBreakdown::new();
+        if let Some(window) = self.window {
+            self.shadow_until(window);
+        }
+        Some(request)
+    }
+
+    fn complete_round(&mut self, lanes: &[LaneOutcome], voided: Option<usize>) {
+        self.block.complete_round(lanes, voided);
+    }
+
+    fn absorb_hang(&mut self, deadline: SimTime) -> bool {
+        self.block.pending = None;
+        self.block.ledger.phases.faults.degraded += 1;
+        self.shadow_until(deadline);
+        true
+    }
+
+    fn degrade(&mut self) -> SimTime {
+        unreachable!("hybrid absorbs every hang, so no round degrades")
+    }
+
+    fn finish(&mut self) -> SearchReport<G::Move> {
+        self.block.finish()
+    }
+
+    fn charge_solo(&mut self, host: HostTime, wave: &Wave) {
+        // The next window is this kernel's own time, a hung one's too
+        // (not its deadline).
+        self.window = Some(wave.elapsed);
+        let (upload, gpu) = wave.split_upload();
+        let s = &mut self.scratch;
+        s.shadow_iterations = self.shadow.iterations;
+        let hidden = HostTime {
+            select: s.select,
+            expand: s.expand,
+            playouts: s.kernel,
+        };
+        let ledger = &mut self.block.ledger;
+        ledger.phases.absorb_counters(s);
+        ledger.charge_overlapped(host, &upload, &gpu, hidden);
     }
 }
 

@@ -22,10 +22,10 @@
 //!   memory (DESIGN.md §13): a persistent kernel runs *complete* MCTS
 //!   iterations per lane, the host phases collapse to zero, and only
 //!   root-child statistics are read back per launch.
-//! * [`hybrid`] — the CPU/GPU overlap of the paper's Fig. 4: kernels are
-//!   launched asynchronously and the CPU keeps deepening the same trees
-//!   while the GPU simulates, fixing the shallow-tree weakness of GPU-only
-//!   search (paper Fig. 8).
+//! * [`hybrid`] — the CPU/GPU overlap of the paper's Fig. 4: the CPU keeps
+//!   deepening the same trees while the GPU simulates (billed in virtual
+//!   time, the longer side charged), fixing the shallow-tree weakness of
+//!   GPU-only search (paper Fig. 8).
 //! * [`multi_gpu`] — root parallelism over MPI ranks, one simulated GPU per
 //!   rank (paper Fig. 9).
 //! * [`wu_uct`] — the exploration-loss fix (DESIGN.md §16): block
@@ -37,7 +37,7 @@
 //!   order.
 //! * [`pipelined`] — barrier-free block parallelism (DESIGN.md §16):
 //!   select/expand of wave *k* overlaps the in-flight kernel of wave
-//!   *k−1*, priced like [`hybrid`] under the seven-phase ledger.
+//!   *k−1*, priced by the same overlap bill as [`hybrid`].
 //!
 //! Supporting modules: [`tree`] (structure-of-arrays search tree; the
 //! original array-of-structs layout survives in [`tree_aos`] as the

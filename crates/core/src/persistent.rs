@@ -20,12 +20,6 @@ pub struct PersistentSearcher<G: Game> {
     config: MctsConfig,
     /// The tree kept from the previous search, if any.
     carry: Option<SearchTree<G>>,
-    /// Plies below the old root to scan when re-rooting. 2 would cover a
-    /// plain move+reply, but Reversi passes can push the reached position
-    /// deeper; 4 additionally absorbs one forced pass on each side. A
-    /// position even further down (a longer pass chain) deliberately falls
-    /// back to a cold tree rather than risking a wrong re-root.
-    reroot_depth: u32,
     /// Diagnostics: simulations inherited by the last search.
     last_reused_visits: u64,
 }
@@ -37,7 +31,6 @@ impl<G: Game> PersistentSearcher<G> {
             inner: SequentialSearcher::new(config.clone()),
             config,
             carry: None,
-            reroot_depth: 4,
             last_reused_visits: 0,
         }
     }
@@ -57,27 +50,10 @@ impl<G: Game> PersistentSearcher<G> {
 
 impl<G: Game> Searcher<G> for PersistentSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
-        // Try to re-root the carried tree at the new position.
-        let mut tree = match self.carry.take() {
-            Some(old) => match old.find_state(&root, self.reroot_depth) {
-                Some(id) => {
-                    // Compacting copy: surviving nodes move into fresh
-                    // dense arrays and slabs, so dead siblings' ranges are
-                    // dropped instead of accumulating across a game.
-                    let sub = old.extract_subtree(id);
-                    self.last_reused_visits = sub.visits(sub.root());
-                    sub
-                }
-                None => {
-                    self.last_reused_visits = 0;
-                    SearchTree::for_config(root, &self.config)
-                }
-            },
-            None => {
-                self.last_reused_visits = 0;
-                SearchTree::for_config(root, &self.config)
-            }
-        };
+        // Try to re-root the carried tree at the new position (a cold
+        // tree's root has no visits).
+        let mut tree = SearchTree::rerooted(self.carry.take(), root, &self.config);
+        self.last_reused_visits = tree.visits(tree.root());
 
         let mut tracker = BudgetTracker::new(budget);
         let mut phases = PhaseBreakdown::new();
@@ -108,6 +84,7 @@ impl<G: Game> Searcher<G> for PersistentSearcher<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::REROOT_DEPTH;
     use pmcts_games::{Game, MoveBuf, Reversi};
 
     fn cfg(seed: u64) -> MctsConfig {
@@ -166,15 +143,15 @@ mod tests {
     #[test]
     fn chain_deeper_than_reroot_depth_starts_cold() {
         // A long pass chain can put the next search position more than
-        // `reroot_depth` plies below the previous root. The searcher must
+        // `REROOT_DEPTH` plies below the previous root. The searcher must
         // then start cold, not warm — `find_state` never scans past the
         // depth limit, even when the position exists deeper in the tree.
         let mut s = PersistentSearcher::<Reversi>::new(cfg(6));
         s.search(Reversi::initial(), SearchBudget::Iterations(4000));
 
-        // Walk 5 plies (> reroot_depth = 4) down the most-visited line, so
+        // Walk 5 plies (> REROOT_DEPTH = 4) down the most-visited line, so
         // the reached position is certain to exist in the carried tree.
-        let deep = s.reroot_depth + 1;
+        let deep = REROOT_DEPTH + 1;
         let carried = s.carry.clone().expect("tree is carried");
         let mut node = carried.root();
         for _ in 0..deep {
@@ -182,19 +159,19 @@ mod tests {
                 .children(node)
                 .iter()
                 .max_by_key(|&&c| carried.visits(c))
-                .expect("searched line extends past reroot_depth");
+                .expect("searched line extends past REROOT_DEPTH");
         }
         let state = *carried.state(node);
         // Control: an unrestricted scan would find the position...
         assert!(carried.find_state(&state, deep).is_some());
         // ...but the depth-limited scan used for re-rooting does not.
-        assert!(carried.find_state(&state, s.reroot_depth).is_none());
+        assert!(carried.find_state(&state, REROOT_DEPTH).is_none());
 
         s.search(state, SearchBudget::Iterations(50));
         assert_eq!(
             s.last_reused_visits(),
             0,
-            "deeper-than-reroot_depth position must start a cold tree"
+            "deeper-than-REROOT_DEPTH position must start a cold tree"
         );
     }
 

@@ -12,15 +12,15 @@
 //! wave `k`.
 //!
 //! `PipelinedEngine` is the block-parallel round with that deferred
-//! landing; it declares `overlaps`, so the solo
-//! driver of the `wave` module prices each round as
-//! `max(kernel of wave k−1, select/expand of wave k)`. The ledger charges
-//! the phases of whichever side is critical and records the hidden side's
-//! time as `overlap_saved` (with the host-side overlap also counted in
-//! `shadow_overlap`), exactly like the hybrid searcher — the seven phases
-//! still sum to `elapsed` to the nanosecond. The final in-flight wave is
-//! drained after the budget expires and charged as wait time
-//! (`budget_overshoot` reports it), so no launched work is ever dropped.
+//! landing; its solo billing hook prices each round as
+//! `max(kernel of wave k−1, select/expand of wave k)` through
+//! `Ledger::charge_overlapped`. The ledger charges the phases of whichever
+//! side is critical and records the hidden side's time as `overlap_saved`
+//! (with the host-side overlap also counted in `shadow_overlap`), exactly
+//! like the hybrid searcher — the seven phases still sum to `elapsed` to
+//! the nanosecond. The final in-flight wave is drained after the budget
+//! expires and charged as wait time (`budget_overshoot` reports it), so no
+//! launched work is ever dropped.
 //!
 //! Faults break the pipeline: a wave whose first launch hung runs the
 //! shared ladder (deadline, one retry with a fresh stream seed, CPU
@@ -36,7 +36,10 @@ use crate::block_parallel::{backprop_outputs, cpu_playouts, BlockEngine};
 use crate::config::{MctsConfig, SearchBudget};
 use crate::gpu::LaneOutcome;
 use crate::searcher::{SearchReport, Searcher};
-use crate::wave::{Frontier, Ledger, PlayoutRequest, RoundEngine, Solo, LANE_SEED_STEP};
+use crate::wave::{
+    Frontier, HostTime, Ledger, PlayoutRequest, RoundEngine, RoundLatency, Solo, Wave,
+    LANE_SEED_STEP,
+};
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, LaunchConfig};
 use pmcts_util::SimTime;
@@ -104,6 +107,9 @@ enum Landing {
 pub(crate) struct PipelinedEngine<G: Game> {
     block: BlockEngine<G>,
     deferred: Option<(Frontier<G>, Landing)>,
+    /// Solo only: the device side of the wave still in flight, and whether
+    /// its first launch hung.
+    in_flight: Option<(RoundLatency, bool)>,
 }
 
 impl<G: Game> PipelinedEngine<G> {
@@ -111,6 +117,7 @@ impl<G: Game> PipelinedEngine<G> {
         PipelinedEngine {
             block,
             deferred: None,
+            in_flight: None,
         }
     }
 
@@ -156,7 +163,7 @@ impl<G: Game> RoundEngine<G> for PipelinedEngine<G> {
         // Pipeline ordering: select from the trees as they stood before the
         // previous wave landed, *then* land it.
         let mut request = self.block.begin_round()?;
-        request.playouts = self.flush();
+        request.host.playouts = self.flush();
         Some(request)
     }
 
@@ -170,15 +177,35 @@ impl<G: Game> RoundEngine<G> for PipelinedEngine<G> {
     }
 
     fn finish(&mut self) -> SearchReport<G::Move> {
-        let playouts = self.flush();
+        // The budget expired with a wave in flight: it lands here, and its
+        // time is charged as wait.
+        let mut tail = self
+            .in_flight
+            .take()
+            .map_or_else(RoundLatency::default, |(l, _)| l);
+        tail.kernel += self.flush();
         let ledger = &mut self.block.ledger;
-        ledger.phases.kernel += playouts;
-        ledger.tracker.charge_wait(playouts);
+        tail.bill(&mut ledger.phases);
+        ledger.tracker.charge_wait(tail.total());
         self.block.finish()
     }
 
-    fn overlaps(&self) -> bool {
-        true
+    fn charge_solo(&mut self, host: HostTime, wave: &Wave) {
+        let (upload, gpu) = wave.split_upload();
+        let ledger = &mut self.block.ledger;
+        match self.in_flight.replace((gpu, wave.stalled)) {
+            // The previous wave flew while this round selected.
+            Some((previous, false)) => {
+                ledger.charge_overlapped(HostTime::default(), &upload, &previous, host);
+            }
+            // The first round, or a previous wave that stalled on a hang:
+            // billed serially.
+            previous => {
+                let mut serial = previous.map_or_else(RoundLatency::default, |(l, _)| l);
+                serial.upload += upload.upload;
+                ledger.charge_round(host, &serial);
+            }
+        }
     }
 }
 

@@ -327,10 +327,7 @@ impl<G: Game> SearchService<G> {
         let latency = self.launcher.launch(&mut wave).latency;
         let mut round = SimTime::ZERO;
         for (m, lat) in wave.iter_mut().zip(&latency) {
-            round = m
-                .engine
-                .ledger()
-                .charge_round(m.request.host, m.request.playouts, lat);
+            round = m.engine.ledger().charge_round(m.request.host, lat);
         }
         for (s, _) in self.active.iter_mut().zip(waiting).filter(|(_, w)| *w) {
             s.engine.ledger().charge_wait(round);

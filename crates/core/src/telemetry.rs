@@ -71,13 +71,14 @@ pub struct PhaseBreakdown {
     /// Cross-tree / cross-rank statistics merging (allreduce time).
     pub merge: SimTime,
 
-    /// Hybrid only: total CPU shadow-iteration time that ran *during*
-    /// kernel flights (informational; whichever of kernel/shadow was longer
-    /// per window is already inside the phase sums).
+    /// Overlap schemes (hybrid, pipelined): total host time that ran
+    /// *during* kernel flights — hybrid's shadow iterations, pipelined's
+    /// next-wave select/expand (informational; whichever of kernel/host
+    /// was longer per window is already inside the phase sums).
     pub shadow_overlap: SimTime,
-    /// Hybrid only: virtual time hidden by the CPU/GPU overlap — the
-    /// shorter of (kernel, shadow) per launch window, i.e. how much slower
-    /// a serialised schedule would have been.
+    /// Overlap schemes (hybrid, pipelined): virtual time hidden by the
+    /// CPU/GPU overlap — the shorter of (kernel, host) per launch window,
+    /// i.e. how much slower a serialised schedule would have been.
     pub overlap_saved: SimTime,
     /// Virtual time spent beyond a `VirtualTime` budget (informational,
     /// already contained in the phase times; zero for iteration budgets).

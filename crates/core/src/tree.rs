@@ -43,6 +43,13 @@ const NO_NODE: NodeId = NodeId::MAX;
 /// Marks a recycled arena slot in the bounded tree's `lru_prev` column.
 const FREED: NodeId = NodeId::MAX - 1;
 
+/// Plies below an old root scanned when re-rooting. 2 would cover a plain
+/// move + reply, but Reversi passes can push the reached position deeper;
+/// 4 additionally absorbs one forced pass on each side. A position even
+/// further down (a longer pass chain) deliberately falls back to a cold
+/// tree rather than risking a wrong re-root.
+pub(crate) const REROOT_DEPTH: u32 = 4;
+
 /// Bounded-mode bookkeeping: the intrusive LRU list threaded through the
 /// node arrays, the free lists that recycle arena slots and slab ranges,
 /// and the transposition table (see the module docs and DESIGN.md §12).
@@ -939,6 +946,17 @@ impl<G: Game> SearchTree<G> {
         (0..self.len() as NodeId)
             .filter(|&id| self.depth[id as usize] <= max_depth && self.state[id as usize] == *state)
             .max_by_key(|&id| self.visits[id as usize])
+    }
+
+    /// The tree a search of `root` starts from (tree reuse): `old`'s
+    /// subtree at the most-visited node holding `root` within
+    /// [`REROOT_DEPTH`] plies, as a compacting copy — surviving nodes move
+    /// into fresh dense arrays and slabs, so dead siblings' ranges are
+    /// dropped instead of accumulating across a game. A cold tree if there
+    /// is no such node.
+    pub(crate) fn rerooted(old: Option<Self>, root: G, config: &MctsConfig) -> Self {
+        old.and_then(|t| Some(t.extract_subtree(t.find_state(&root, REROOT_DEPTH)?)))
+            .unwrap_or_else(|| Self::for_config(root, config))
     }
 
     /// Live node count: `len()` minus recycled arena slots. Equals `len()`

@@ -8,8 +8,8 @@
 //! (frontier positions plus host time), the driver launches it, and
 //! [`complete_round`](RoundEngine::complete_round) or
 //! [`degrade`](RoundEngine::degrade) lands the outcome. Each scheme writes
-//! its round once (leaf, block, WU-UCT, pipelined), and two drivers run
-//! it:
+//! its round once (leaf, block, WU-UCT, pipelined, hybrid), and two
+//! drivers run it:
 //!
 //! * [`Solo`] backs a [`Searcher`](crate::searcher::Searcher): the engine is
 //!   the only member of every launch, on the searcher's own device and
@@ -21,7 +21,9 @@
 //! ladder lives:
 //!
 //! * a hang charges the hang deadline, then retries once with a fresh
-//!   epoch;
+//!   epoch — unless the engine absorbs it
+//!   ([`RoundEngine::absorb_hang`]; hybrid runs its shadow loop on to the
+//!   deadline instead);
 //! * a second hang degrades the round to one CPU playout per frontier
 //!   node ([`RoundEngine::degrade`]; WU-UCT rolls its in-flight counts
 //!   back there);
@@ -35,12 +37,18 @@
 //!
 //! # Overlap
 //!
-//! A lockstep round costs the sum host + upload + kernel + readback. The
-//! pipelined engine ([`RoundEngine::overlaps`]) selects wave `k` while wave
-//! `k−1` is in flight, so the solo driver bills `max(kernel k−1, host k)`
-//! and records the hidden side as `overlap_saved`; a wave whose first
-//! launch hung stalls the pipeline and is billed serially. The service
-//! serialises its rounds, so it always bills the sum.
+//! A lockstep round costs the sum host + upload + kernel + readback. Two
+//! engines overlap host work with a kernel flight and bill it through
+//! their solo billing hook ([`RoundEngine::charge_solo`]) and
+//! [`Ledger::charge_overlapped`], which charges `max(device, host)` and
+//! records the hidden side as `overlap_saved`:
+//!
+//! * pipelined selects wave `k` while wave `k−1` is in flight; a wave
+//!   whose first launch hung stalls the pipeline and is billed serially;
+//! * hybrid runs CPU iterations (tree work plus playouts) while its own
+//!   wave is in flight.
+//!
+//! The service serialises its rounds, so it always bills the sum.
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
@@ -59,11 +67,13 @@ pub(crate) const LANE_SEED_STEP: u64 = 0xA076_1D64_78BD_642F;
 /// One round's frontier: `(node, position, depth)` per block.
 pub(crate) type Frontier<G> = Vec<(u32, G, u32)>;
 
-/// Host tree time of one round, split the way the phase ledger bills it.
+/// Host time of one round, split the way the phase ledger bills it: tree
+/// work, plus CPU playouts (billed to `kernel`).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct HostTime {
     pub(crate) select: SimTime,
     pub(crate) expand: SimTime,
+    pub(crate) playouts: SimTime,
 }
 
 impl HostTime {
@@ -79,12 +89,13 @@ impl HostTime {
     }
 
     pub(crate) fn total(self) -> SimTime {
-        self.select + self.expand
+        self.select + self.expand + self.playouts
     }
 
     pub(crate) fn bill(self, phases: &mut PhaseBreakdown) {
         phases.select += self.select;
         phases.expand += self.expand;
+        phases.kernel += self.playouts;
     }
 }
 
@@ -96,11 +107,9 @@ pub(crate) struct PlayoutRequest<G> {
     /// Blocks the share occupies. Exceeds `positions.len()` only for leaf
     /// parallelism, which never shares a launch.
     pub(crate) blocks: u32,
-    /// Host tree time spent producing the positions.
+    /// Host time spent producing the positions; its CPU playouts land a
+    /// degraded earlier wave (pipelined only).
     pub(crate) host: HostTime,
-    /// CPU playout time this round spent landing a degraded earlier wave
-    /// (pipelined only); billed to `kernel`.
-    pub(crate) playouts: SimTime,
 }
 
 impl<G: Copy> PlayoutRequest<G> {
@@ -110,12 +119,7 @@ impl<G: Copy> PlayoutRequest<G> {
             positions: frontier.iter().map(|&(_, s, _)| s).collect(),
             blocks: frontier.len() as u32,
             host: HostTime::of(cpu, frontier),
-            playouts: SimTime::ZERO,
         }
-    }
-
-    fn host_cost(&self) -> SimTime {
-        self.host.total() + self.playouts
     }
 }
 
@@ -132,11 +136,11 @@ pub(crate) struct RoundLatency {
 }
 
 impl RoundLatency {
-    fn total(&self) -> SimTime {
+    pub(crate) fn total(&self) -> SimTime {
         self.queue + self.upload + self.kernel + self.readback
     }
 
-    fn bill(&self, phases: &mut PhaseBreakdown) {
+    pub(crate) fn bill(&self, phases: &mut PhaseBreakdown) {
         phases.queue += self.queue;
         phases.upload += self.upload;
         phases.kernel += self.kernel;
@@ -179,59 +183,39 @@ impl Ledger {
 
     /// Bills a lockstep round — host side plus the wave latency, summed —
     /// and returns the round's cost.
-    pub(crate) fn charge_round(
+    pub(crate) fn charge_round(&mut self, host: HostTime, latency: &RoundLatency) -> SimTime {
+        let none = RoundLatency::default();
+        self.charge_overlapped(host, latency, &none, HostTime::default())
+    }
+
+    /// Bills a round whose `host` work and `latency` ran in sequence, then
+    /// a device side `gpu` that flew while the host did `hidden` work. The
+    /// longer of those two is billed, the shorter one's time is recorded
+    /// as `overlap_saved` and `hidden`'s as `shadow_overlap`. Returns the
+    /// round's cost.
+    pub(crate) fn charge_overlapped(
         &mut self,
         host: HostTime,
-        playouts: SimTime,
         latency: &RoundLatency,
+        gpu: &RoundLatency,
+        hidden: HostTime,
     ) -> SimTime {
-        host.bill(&mut self.phases);
-        self.phases.kernel += playouts;
-        latency.bill(&mut self.phases);
-        let cost = host.total() + playouts + latency.total();
+        let (g, h) = (gpu.total(), hidden.total());
+        let p = &mut self.phases;
+        host.bill(p);
+        latency.bill(p);
+        if g >= h {
+            gpu.bill(p);
+            p.overlap_saved += h;
+        } else {
+            hidden.bill(p);
+            p.overlap_saved += g;
+        }
+        p.shadow_overlap += h;
+        let cost = host.total() + latency.total() + g.max(h);
         self.tracker
             .charge(cost + std::mem::take(&mut self.carried));
         cost
-    }
-
-    /// Bills a pipelined round: this wave's first upload, plus the previous
-    /// wave's device side overlapped with this round's host work — unless
-    /// that wave stalled on a hang, which is billed serially.
-    fn charge_overlapped(
-        &mut self,
-        host: HostTime,
-        playouts: SimTime,
-        upload: SimTime,
-        previous: Option<(RoundLatency, bool)>,
-    ) {
-        let p = &mut self.phases;
-        p.upload += upload;
-        p.kernel += playouts;
-        let mut cost = upload + playouts;
-        match previous {
-            Some((gpu, false)) => {
-                let (g, h) = (gpu.kernel + gpu.readback, host.total());
-                if g >= h {
-                    p.kernel += gpu.kernel;
-                    p.readback += gpu.readback;
-                    p.overlap_saved += h;
-                } else {
-                    host.bill(p);
-                    p.overlap_saved += g;
-                }
-                p.shadow_overlap += h;
-                cost += g.max(h);
-            }
-            previous => {
-                host.bill(p);
-                cost += host.total();
-                if let Some((stalled, _)) = previous {
-                    stalled.bill(p);
-                    cost += stalled.total();
-                }
-            }
-        }
-        self.tracker.charge(cost);
     }
 
     /// Bills a round the engine sat out of (service wave packing): the
@@ -263,10 +247,16 @@ pub(crate) trait RoundEngine<G: Game>: Send {
     fn inflight(&self) -> u64 {
         0
     }
-    /// Whether the solo driver overlaps this engine's host work with its
-    /// previous wave's kernel (pipelined).
-    fn overlaps(&self) -> bool {
+    /// The first response to a hung launch whose deadline is `deadline`:
+    /// `true` lands the round here instead of retrying it (hybrid, which
+    /// only runs solo).
+    fn absorb_hang(&mut self, _deadline: SimTime) -> bool {
         false
+    }
+    /// Bills one solo round: `host` is its request's host time, `wave` the
+    /// launch outcome. Overlap schemes hide part of it.
+    fn charge_solo(&mut self, host: HostTime, wave: &Wave) {
+        self.ledger().charge_round(host, &wave.latency[0]);
     }
 }
 
@@ -282,8 +272,25 @@ pub(crate) struct Wave {
     pub(crate) latency: Vec<RoundLatency>,
     /// One attempt's upload (launch prep + transfer).
     upload: SimTime,
-    /// Whether the first attempt hung.
-    stalled: bool,
+    /// Whether the first attempt hung and was retried.
+    pub(crate) stalled: bool,
+    /// The last attempt's device time (overhead, kernel, readback),
+    /// slowdowns included and hang deadlines not.
+    pub(crate) elapsed: SimTime,
+}
+
+impl Wave {
+    /// The lone member's latency split into the first upload, which
+    /// precedes the flight, and the rest, which may overlap host work.
+    pub(crate) fn split_upload(&self) -> (RoundLatency, RoundLatency) {
+        let mut rest = self.latency[0];
+        rest.upload -= self.upload;
+        let upload = RoundLatency {
+            upload: self.upload,
+            ..RoundLatency::default()
+        };
+        (upload, rest)
+    }
 }
 
 /// The launch path: a device, the block geometry and the lane-seed
@@ -334,7 +341,7 @@ impl Launcher {
             .iter()
             .flat_map(|m| m.request.positions.iter().copied())
             .collect();
-        let host: Vec<SimTime> = wave.iter().map(|m| m.request.host_cost()).collect();
+        let host: Vec<SimTime> = wave.iter().map(|m| m.request.host.total()).collect();
         let total_host: SimTime = host.iter().copied().sum();
         let mut latency: Vec<RoundLatency> = host
             .iter()
@@ -344,7 +351,7 @@ impl Launcher {
             })
             .collect();
         let mut stalled = false;
-        let mut upload;
+        let (mut upload, mut elapsed);
         loop {
             self.epoch += 1;
             let kernel = PlayoutKernel::new(
@@ -362,11 +369,12 @@ impl Launcher {
                 .launch_batched(&kernel, self.threads_per_block, &segments);
             let mut stats = batched.result.stats.clone();
             slow_down(&mut stats, &faults);
+            elapsed = stats.elapsed();
             if let Some(records) = &mut self.records {
                 records.push(LaunchRecord {
                     sessions: wave.len() as u32,
                     blocks: segments.iter().map(|s| s.blocks).sum(),
-                    elapsed: stats.elapsed(),
+                    elapsed,
                 });
             }
             for lat in &mut latency {
@@ -374,19 +382,24 @@ impl Launcher {
             }
 
             // Any member's hang stalls the wave: everyone waits out the
-            // longest deadline, retries once, then degrades.
+            // longest deadline, retries once, then degrades. An engine that
+            // absorbs the first hang lands the round itself.
             let deadline = wave
                 .iter_mut()
                 .zip(&faults)
                 .filter(|(_, f)| **f == GpuFault::Hang)
-                .map(|(m, _)| m.engine.ledger().plan.hang_deadline(stats.elapsed()))
+                .map(|(m, _)| m.engine.ledger().plan.hang_deadline(elapsed))
                 .max();
             if let Some(deadline) = deadline {
+                let absorbed = !stalled && wave.iter_mut().all(|m| m.engine.absorb_hang(deadline));
                 for ((m, lat), fault) in wave.iter_mut().zip(&mut latency).zip(&faults) {
                     let counters = &mut m.engine.ledger().phases.faults;
                     counters.injected += u64::from(*fault != GpuFault::None);
-                    counters.retried += u64::from(!stalled);
+                    counters.retried += u64::from(!stalled && !absorbed);
                     lat.kernel += deadline;
+                }
+                if absorbed {
+                    break;
                 }
                 if !stalled {
                     stalled = true;
@@ -421,6 +434,7 @@ impl Launcher {
             latency,
             upload,
             stalled,
+            elapsed,
         }
     }
 }
@@ -463,7 +477,9 @@ pub(crate) struct Solo {
     pub(crate) config: MctsConfig,
     pub(crate) launch: LaunchConfig,
     pub(crate) rng: Xoshiro256pp,
-    stream: u64,
+    /// The fault stream of every search: the RNG stream, unless the
+    /// scheme keys its faults itself (hybrid).
+    pub(crate) fault_key: u64,
     launcher: Launcher,
 }
 
@@ -493,7 +509,7 @@ impl Solo {
             rng: Xoshiro256pp::derive(config.seed, rng_salt ^ stream),
             config,
             launch,
-            stream,
+            fault_key: stream,
             launcher,
         }
     }
@@ -504,7 +520,12 @@ impl Solo {
 
     /// A ledger for the next search, continuing this stream's faults.
     pub(crate) fn ledger(&self, budget: SearchBudget) -> Ledger {
-        Ledger::new(budget, self.config.faults, self.stream, self.launcher.epoch)
+        Ledger::new(
+            budget,
+            self.config.faults,
+            self.fault_key,
+            self.launcher.epoch,
+        )
     }
 
     /// Claims the next launch epoch for a launch outside the shared path
@@ -521,35 +542,16 @@ impl Solo {
         &mut self,
         engine: &mut dyn RoundEngine<G>,
     ) -> SearchReport<G::Move> {
-        let overlaps = engine.overlaps();
-        // Pipelined: the wave still in flight, and whether it stalled.
-        let mut in_flight: Option<(RoundLatency, bool)> = None;
         while engine.ledger().tracker.may_continue() {
             let Some(request) = engine.begin_round() else {
                 break;
             };
-            let (host, playouts) = (request.host, request.playouts);
+            let host = request.host;
             let wave = self.launcher.launch(&mut [Member {
                 engine: &mut *engine,
                 request,
             }]);
-            let mut latency = wave.latency[0];
-            if overlaps {
-                latency.upload -= wave.upload;
-                let previous = in_flight.replace((latency, wave.stalled));
-                engine
-                    .ledger()
-                    .charge_overlapped(host, playouts, wave.upload, previous);
-            } else {
-                engine.ledger().charge_round(host, playouts, &latency);
-            }
-        }
-        if let Some((latency, _)) = in_flight {
-            // The budget expired with a wave in flight: its results land
-            // (at `finish`) and its time is charged as wait.
-            let ledger = engine.ledger();
-            latency.bill(&mut ledger.phases);
-            ledger.tracker.charge_wait(latency.total());
+            engine.charge_solo(host, &wave);
         }
         engine.finish()
     }

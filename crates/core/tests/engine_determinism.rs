@@ -163,14 +163,19 @@ fn block_parallel_identical_across_host_threads() {
 }
 
 #[test]
-fn device_tree_identical_across_host_threads() {
-    assert_reports_identical("device-tree", SearchBudget::Iterations(5), |t| {
-        Box::new(DeviceTreeSearcher::new(
-            cfg(51),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+fn device_tree_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "device-tree",
+        SearchBudget::Iterations(5),
+        "Some(ReversiMove(37))/s640/i5/e2323679/v640/w4644002864190980096",
+        |t| {
+            Box::new(DeviceTreeSearcher::new(
+                cfg(51),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
@@ -239,11 +244,12 @@ fn hex11_searches_identical_across_host_threads_and_pinned() {
 }
 
 #[test]
-fn device_tree_identical_across_host_threads_under_time_budget() {
+fn device_tree_time_budget_identical_across_host_threads_and_pinned() {
     // The multi-round launch planner must not see thread count either.
-    assert_reports_identical(
+    assert_identical_and_pinned(
         "device-tree (time)",
         SearchBudget::VirtualTime(SimTime::from_millis(10)),
+        "Some(ReversiMove(26))/s2688/i21/e9544526/v2688/w4653284941352665088",
         |t| {
             Box::new(DeviceTreeSearcher::new(
                 cfg(52),
@@ -255,27 +261,55 @@ fn device_tree_identical_across_host_threads_under_time_budget() {
 }
 
 #[test]
-fn bounded_device_tree_identical_across_host_threads() {
+fn bounded_device_tree_identical_across_host_threads_and_pinned() {
     // Device-side LRU recycling replays the same touch order per block,
     // so capacity-capped resident trees keep the guarantee too.
-    assert_reports_identical("bounded device-tree", SearchBudget::Iterations(8), |t| {
-        Box::new(DeviceTreeSearcher::new(
-            cfg(53).with_tree_capacity(64),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "bounded device-tree",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(19))/s1024/i8/e3681036/v1024/w4647354175632441344",
+        |t| {
+            Box::new(DeviceTreeSearcher::new(
+                cfg(53).with_tree_capacity(64),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
-fn hybrid_identical_across_host_threads() {
-    assert_reports_identical("hybrid", SearchBudget::Iterations(5), |t| {
-        Box::new(HybridSearcher::new(
-            cfg(23),
-            device(t),
-            LaunchConfig::new(2, 32),
-        ))
-    });
+fn hybrid_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "hybrid",
+        SearchBudget::Iterations(5),
+        "Some(ReversiMove(26))/s348/i5/e3857984/v348/w4640132583261208576",
+        |t| {
+            Box::new(HybridSearcher::new(
+                cfg(23),
+                device(t),
+                LaunchConfig::new(2, 32),
+            ))
+        },
+    );
+}
+
+#[test]
+fn hybrid_time_budget_identical_across_host_threads_and_pinned() {
+    // Shadow iterations fill every kernel flight after the first, bounded
+    // by the previous kernel's virtual duration.
+    assert_identical_and_pinned(
+        "hybrid (time)",
+        SearchBudget::VirtualTime(SimTime::from_millis(10)),
+        "Some(ReversiMove(44))/s1613/i12/e9532423/v1613/w4649905042608881664",
+        |t| {
+            Box::new(HybridSearcher::new(
+                cfg(30),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
@@ -331,14 +365,19 @@ fn bounded_block_parallel_identical_across_host_threads() {
 }
 
 #[test]
-fn bounded_hybrid_identical_across_host_threads() {
-    assert_reports_identical("bounded hybrid", SearchBudget::Iterations(90), |t| {
-        Box::new(HybridSearcher::new(
-            cfg(29).with_tree_capacity(64),
-            device(t),
-            LaunchConfig::new(2, 32),
-        ))
-    });
+fn bounded_hybrid_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "bounded hybrid",
+        SearchBudget::Iterations(90),
+        "Some(ReversiMove(37))/s6379/i90/e68257677/v6379/w4658867161886883840",
+        |t| {
+            Box::new(HybridSearcher::new(
+                cfg(29).with_tree_capacity(64),
+                device(t),
+                LaunchConfig::new(2, 32),
+            ))
+        },
+    );
 }
 
 // ---- 2b. WU-UCT and pipelined block-parallel (DESIGN.md §16) -------------
@@ -453,21 +492,27 @@ fn wu_uct_with_faults_identical_across_host_threads_and_pinned() {
 }
 
 #[test]
-fn pipelined_identical_across_host_threads() {
-    assert_reports_identical("pipelined", SearchBudget::Iterations(6), |t| {
-        Box::new(PipelinedSearcher::new(
-            cfg(65),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+fn pipelined_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "pipelined",
+        SearchBudget::Iterations(6),
+        "Some(ReversiMove(19))/s768/i6/e4581860/v768/w4645119968004800512",
+        |t| {
+            Box::new(PipelinedSearcher::new(
+                cfg(65),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
-fn pipelined_time_budget_identical_across_host_threads() {
-    assert_reports_identical(
+fn pipelined_time_budget_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
         "pipelined (time)",
         SearchBudget::VirtualTime(SimTime::from_millis(10)),
+        "Some(ReversiMove(26))/s1792/i14/e10657025/v1792/w4650485584748347392",
         |t| {
             Box::new(PipelinedSearcher::new(
                 cfg(66),
@@ -479,25 +524,35 @@ fn pipelined_time_budget_identical_across_host_threads() {
 }
 
 #[test]
-fn bounded_pipelined_identical_across_host_threads() {
-    assert_reports_identical("bounded pipelined", SearchBudget::Iterations(100), |t| {
-        Box::new(PipelinedSearcher::new(
-            cfg(67).with_tree_capacity(64),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+fn bounded_pipelined_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "bounded pipelined",
+        SearchBudget::Iterations(100),
+        "Some(ReversiMove(37))/s12800/i100/e74060396/v12800/w4663392751746809856",
+        |t| {
+            Box::new(PipelinedSearcher::new(
+                cfg(67).with_tree_capacity(64),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
-fn pipelined_with_faults_identical_across_host_threads() {
-    assert_reports_identical("pipelined+faults", SearchBudget::Iterations(8), |t| {
-        Box::new(PipelinedSearcher::new(
-            cfg(68).with_faults(mixed_plan(50)),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+fn pipelined_with_faults_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "pipelined+faults",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(19))/s868/i8/e11638112/v868/w4645383850795466752",
+        |t| {
+            Box::new(PipelinedSearcher::new(
+                cfg(68).with_faults(mixed_plan(50)),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
@@ -551,27 +606,37 @@ fn block_parallel_with_faults_identical_across_host_threads() {
 }
 
 #[test]
-fn device_tree_with_faults_identical_across_host_threads() {
+fn device_tree_with_faults_identical_across_host_threads_and_pinned() {
     // Exercises the whole degradation ladder (slowdown, block abort, hang
     // dry-run, retry, host block-parallel fallback) under one mixed plan.
-    assert_reports_identical("device-tree+faults", SearchBudget::Iterations(8), |t| {
-        Box::new(DeviceTreeSearcher::new(
-            cfg(54).with_faults(mixed_plan(48)),
-            device(t),
-            LaunchConfig::new(4, 32),
-        ))
-    });
+    assert_identical_and_pinned(
+        "device-tree+faults",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(26))/s1024/i8/e3660166/v1024/w4646791225679020032",
+        |t| {
+            Box::new(DeviceTreeSearcher::new(
+                cfg(54).with_faults(mixed_plan(48)),
+                device(t),
+                LaunchConfig::new(4, 32),
+            ))
+        },
+    );
 }
 
 #[test]
-fn hybrid_with_faults_identical_across_host_threads() {
-    assert_reports_identical("hybrid+faults", SearchBudget::Iterations(8), |t| {
-        Box::new(HybridSearcher::new(
-            cfg(33).with_faults(mixed_plan(43)),
-            device(t),
-            LaunchConfig::new(2, 32),
-        ))
-    });
+fn hybrid_with_faults_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "hybrid+faults",
+        SearchBudget::Iterations(8),
+        "Some(ReversiMove(19))/s454/i8/e9770852/v454/w4642208461214449664",
+        |t| {
+            Box::new(HybridSearcher::new(
+                cfg(33).with_faults(mixed_plan(43)),
+                device(t),
+                LaunchConfig::new(2, 32),
+            ))
+        },
+    );
 }
 
 #[test]

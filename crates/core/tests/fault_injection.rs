@@ -223,10 +223,17 @@ fn hybrid_absorbs_hangs_with_cpu_shadow_work() {
     // Every kernel hangs; all simulations come from the CPU shadow loop
     // that extends to the virtual deadline.
     assert_eq!(r.phases.faults.injected, r.iterations);
+    assert_eq!(r.phases.faults.retried, 0, "a hybrid hang is never retried");
     assert_eq!(r.phases.faults.degraded, r.iterations);
     assert!(r.simulations > 0, "shadow iterations keep the search alive");
     assert_eq!(r.phases.simulations, r.simulations);
     assert_healthy(&r);
+    // Pinned: after a hang the next shadow window is the hung kernel's
+    // nominal duration, not its deadline.
+    assert_eq!(
+        fingerprint(&r),
+        "Some(ReversiMove(44))/s70/i5/n82/d4/e7565408/v70/w4630122629401935872"
+    );
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Device specifications and the `Device` front-end.
 //!
 //! A [`DeviceSpec`] is plain data describing the simulated hardware and the
-//! cost-model constants; a [`Device`] wraps a spec and exposes synchronous
-//! and asynchronous kernel launches. The calibration of the default spec is
+//! cost-model constants; a [`Device`] wraps a spec and exposes kernel
+//! launches, each run to completion. The calibration of the default spec is
 //! discussed in `DESIGN.md` §6: constants are chosen so the full Fig. 5
 //! sweep lands near the paper's absolute simulations/second on a Tesla
 //! C2050, but every experiment re-derives its conclusions from the model, so
@@ -10,7 +10,7 @@
 
 use crate::executor::execute_kernel;
 use crate::kernel::{Kernel, LaunchConfig};
-use crate::launch::{LaunchResult, PendingLaunch};
+use crate::launch::LaunchResult;
 use crate::pool::WorkerPool;
 use pmcts_util::SimTime;
 use std::sync::Arc;
@@ -121,7 +121,7 @@ pub struct Device {
     spec: Arc<DeviceSpec>,
     /// Persistent host workers that actually execute kernel lanes — created
     /// once per device (defaulting to available parallelism) and reused by
-    /// every synchronous and asynchronous launch.
+    /// every launch.
     pool: Arc<WorkerPool>,
 }
 
@@ -204,26 +204,6 @@ impl Device {
     pub fn launch<K: Kernel>(&self, kernel: &K, config: LaunchConfig) -> LaunchResult<K::Output> {
         config.validate(&self.spec);
         execute_kernel(kernel, &config, &self.spec, &self.pool)
-    }
-
-    /// Launches a kernel asynchronously, returning immediately.
-    ///
-    /// Mirrors a CUDA stream launch followed by event polling: the host may
-    /// keep working (the hybrid CPU/GPU scheme does exactly that) and later
-    /// either poll [`PendingLaunch::is_ready`] or block in
-    /// [`PendingLaunch::wait`]. The kernel runs on this device's pool; no
-    /// thread is created.
-    pub fn launch_async<K>(&self, kernel: Arc<K>, config: LaunchConfig) -> PendingLaunch<K::Output>
-    where
-        K: Kernel + Send + Sync + 'static,
-        K::Output: 'static,
-    {
-        config.validate(&self.spec);
-        let spec = Arc::clone(&self.spec);
-        let pool = Arc::clone(&self.pool);
-        PendingLaunch::spawn_on(&self.pool, move || {
-            execute_kernel(&*kernel, &config, &spec, &pool)
-        })
     }
 }
 

@@ -24,14 +24,13 @@
 //!    launch latency and an explicit host↔device transfer cost, so schemes
 //!    that launch often (many small iterations) pay for it, as on real
 //!    hardware.
-//! 4. **Asynchronous launches** ([`launch`]): `launch_async` returns a
-//!    handle immediately and runs the kernel in the background — the CUDA
-//!    stream + event pattern that the paper's hybrid CPU/GPU scheme (its
-//!    Fig. 4) is built on.
+//! 4. **Asynchronous launches**: the paper's hybrid CPU/GPU scheme (its
+//!    Fig. 4) keeps the CPU busy while a kernel flies. That overlap is
+//!    billed in virtual time by the hybrid searcher; launches here run to
+//!    completion.
 //!
-//! All real execution — synchronous block fan-out and asynchronous
-//! launches alike — runs on a persistent per-device [`pool::WorkerPool`];
-//! no OS thread is created per launch.
+//! All real execution runs on a persistent per-device
+//! [`pool::WorkerPool`]; no OS thread is created per launch.
 //!
 //! Time is *virtual* ([`pmcts_util::SimTime`]), computed from a deterministic
 //! cycle-accounting model, while the kernels' actual work (random Reversi
@@ -52,7 +51,7 @@ pub use batch::{BatchSegment, BatchedResult};
 pub use device::{Device, DeviceSpec};
 pub use device_tree::{DeviceAllocator, DeviceTreeSpec, TreeLaunchTrace};
 pub use kernel::{Kernel, LaunchConfig, ThreadId};
-pub use launch::{LaunchResult, PendingLaunch};
+pub use launch::LaunchResult;
 pub use pool::WorkerPool;
 pub use stats::KernelStats;
 // Fault type shared with the plan layer in `pmcts-util`.

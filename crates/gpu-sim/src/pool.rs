@@ -1,17 +1,12 @@
 //! A persistent host worker pool (std-only).
 //!
-//! The execution engine used to spawn fresh OS threads for every kernel
-//! launch — scoped threads for the synchronous block fan-out and a detached
-//! thread per asynchronous launch. On the simulated-GPU hot path that is a
-//! thread creation per MCTS iteration. [`WorkerPool`] replaces both: a
-//! fixed set of workers is created once per device (or shared across
-//! devices) and serves
-//!
-//! * [`run_scoped`](WorkerPool::run_scoped) — synchronous fan-out where the
-//!   closure may borrow from the caller's stack (the block loop of
-//!   `execute_kernel`), and
-//! * [`submit`](WorkerPool::submit) — fire-and-forget `'static` jobs
-//!   (asynchronous launches behind `PendingLaunch`).
+//! The execution engine used to spawn fresh scoped OS threads for every
+//! kernel launch. On the simulated-GPU hot path that is a thread creation
+//! per MCTS iteration. [`WorkerPool`] replaces them: a fixed set of workers
+//! is created once per device (or shared across devices) and serves
+//! [`run_scoped`](WorkerPool::run_scoped) — synchronous fan-out where the
+//! closure may borrow from the caller's stack (the block loop of
+//! `execute_kernel`, the searchers' host tree phases).
 //!
 //! **Determinism.** The pool never decides *what* work is done, only *which
 //! thread* does it: `execute_kernel` keys every block's result by block id
@@ -21,15 +16,21 @@
 //! **Deadlock freedom.** `run_scoped(participants, f)` always runs
 //! participant 0 on the calling thread, so all work can complete even if no
 //! worker ever picks up a queued participant job (e.g. every worker is busy
-//! with an asynchronous launch). After its own share the caller *cancels*
-//! any of its jobs still sitting unclaimed in the queue and waits only for
-//! jobs a worker actually started — a bounded wait on actively executing
-//! closures.
+//! with another caller's fan-out on a shared pool). After its own share the
+//! caller *cancels* any of its jobs still sitting unclaimed in the queue
+//! and waits only for jobs a worker actually started — a bounded wait on
+//! actively executing closures.
+//!
+//! **No lost wakeups.** Every state a waiter tests changes under the
+//! waiter's mutex: the queue and the shutdown flag under the queue's
+//! (workers), a scope's pending count under its own (callers). A worker
+//! that found the queue empty and open therefore either sees the change or
+//! is already parked when it is notified.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// A scoped participant closure with its lifetime erased.
@@ -51,27 +52,27 @@ struct ScopeState {
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-enum Job {
-    /// A detached `'static` job (asynchronous launch).
-    Task(Box<dyn FnOnce() + Send + 'static>),
-    /// Participant `index` of a synchronous scoped fan-out.
-    Scoped {
-        scope: Arc<ScopeState>,
-        index: usize,
-    },
+/// Participant `index` of a scoped fan-out.
+struct Job {
+    scope: Arc<ScopeState>,
+    index: usize,
+}
+
+/// What a waiting worker tests, under one mutex.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
 struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     available: Condvar,
-    shutdown: AtomicBool,
 }
 
 /// A fixed-size pool of persistent worker threads.
 ///
-/// Dropping the pool drains the queue (pending detached jobs still run —
-/// preserving the fire-and-forget semantics of dropped async launches) and
-/// joins all workers.
+/// Dropping the pool joins all workers. No job outlives its `run_scoped`
+/// call, so the queue is empty by then.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
@@ -82,9 +83,11 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -110,14 +113,6 @@ impl WorkerPool {
     #[inline]
     pub fn size(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Enqueues a detached `'static` job; some worker eventually runs it.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-        queue.push_back(Job::Task(Box::new(job)));
-        drop(queue);
-        self.shared.available.notify_one();
     }
 
     /// Runs `f(0), f(1), …, f(participants-1)` concurrently and returns when
@@ -148,7 +143,7 @@ impl WorkerPool {
         {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
             for index in 1..participants {
-                queue.push_back(Job::Scoped {
+                queue.jobs.push_back(Job {
                     scope: Arc::clone(&scope),
                     index,
                 });
@@ -164,11 +159,9 @@ impl WorkerPool {
         // shared work source — for `execute_kernel`, the block counter).
         let cancelled = {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-            let before = queue.len();
-            queue.retain(
-                |job| !matches!(job, Job::Scoped { scope: s, .. } if Arc::ptr_eq(s, &scope)),
-            );
-            before - queue.len()
+            let before = queue.jobs.len();
+            queue.jobs.retain(|job| !Arc::ptr_eq(&job.scope, &scope));
+            before - queue.jobs.len()
         };
         {
             let mut pending = scope.pending.lock().expect("scope state poisoned");
@@ -255,7 +248,12 @@ impl<T> SendSlice<T> {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Under the lock: a worker between its shutdown check and its wait
+        // would otherwise miss the notification and sleep forever. Every
+        // queue update leaves it valid, so a poisoned lock is still usable
+        // (and `drop` must not panic).
+        let locked = self.shared.queue.lock();
+        locked.unwrap_or_else(PoisonError::into_inner).shutdown = true;
         self.shared.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -273,40 +271,29 @@ impl std::fmt::Debug for WorkerPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let job = {
+        let Job { scope, index } = {
             let mut queue = shared.queue.lock().expect("pool queue poisoned");
             loop {
-                if let Some(job) = queue.pop_front() {
+                if let Some(job) = queue.jobs.pop_front() {
                     break job;
                 }
-                // Queue drained: detached jobs submitted before shutdown
-                // have been picked up, so exiting here never drops work.
-                if shared.shutdown.load(Ordering::Acquire) {
+                if queue.shutdown {
                     return;
                 }
                 queue = shared.available.wait(queue).expect("pool queue poisoned");
             }
         };
-        match job {
-            Job::Task(f) => {
-                // A detached job's panic has nowhere to surface (the owner
-                // may have dropped its handle); swallow it so the worker
-                // survives. `PendingLaunch` jobs catch their own panics and
-                // report them through `wait()`.
-                let _ = catch_unwind(AssertUnwindSafe(f));
-            }
-            Job::Scoped { scope, index } => {
-                let run = unsafe { &*scope.run.0 };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(index))) {
-                    let mut slot = scope.panic.lock().expect("scope state poisoned");
-                    slot.get_or_insert(payload);
-                }
-                let mut pending = scope.pending.lock().expect("scope state poisoned");
-                *pending -= 1;
-                if *pending == 0 {
-                    scope.done.notify_all();
-                }
-            }
+        // SAFETY: `run_scoped` does not return before this claimed job
+        // finishes, so the closure is alive (see `ScopedFn`).
+        let run = unsafe { &*scope.run.0 };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(index))) {
+            let mut slot = scope.panic.lock().expect("scope state poisoned");
+            slot.get_or_insert(payload);
+        }
+        let mut pending = scope.pending.lock().expect("scope state poisoned");
+        *pending -= 1;
+        if *pending == 0 {
+            scope.done.notify_all();
         }
     }
 }
@@ -315,6 +302,8 @@ fn worker_loop(shared: &PoolShared) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn scoped_fanout_runs_every_participant_work_item() {
@@ -346,43 +335,56 @@ mod tests {
 
     #[test]
     fn completes_even_when_workers_are_busy() {
-        // One worker, blocked on a long detached job: run_scoped must still
-        // finish because the caller can do all the work itself.
-        let pool = WorkerPool::new(1);
+        // The only worker is held by another caller's fan-out (as
+        // multi-node ranks share one pool): run_scoped must still finish
+        // because the caller can do all the work itself.
+        let pool = Arc::new(WorkerPool::new(1));
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        pool.submit(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        });
+        let (started, on_worker) = mpsc::channel();
+        let holder = {
+            let (pool, gate) = (Arc::clone(&pool), Arc::clone(&gate));
+            std::thread::spawn(move || {
+                pool.run_scoped(2, |idx| {
+                    if idx == 1 {
+                        started.send(()).unwrap();
+                    }
+                    let (lock, cv) = &*gate;
+                    let mut open = lock.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                });
+            })
+        };
+        on_worker.recv().unwrap();
         let done = AtomicUsize::new(0);
         pool.run_scoped(3, |_| {
             done.fetch_add(1, Ordering::Relaxed);
         });
-        // Participants 1,2 may have been cancelled; participant 0 always ran.
-        assert!(done.load(Ordering::Relaxed) >= 1);
+        // Participants 1 and 2 were cancelled; participant 0 ran here.
+        assert_eq!(done.load(Ordering::Relaxed), 1);
         let (lock, cv) = &*gate;
         *lock.lock().unwrap() = true;
         cv.notify_all();
+        holder.join().unwrap();
     }
 
     #[test]
-    fn submitted_jobs_run_before_shutdown() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::new(2);
-            for _ in 0..16 {
-                let ran = Arc::clone(&ran);
-                pool.submit(move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                });
+    fn create_and_drop_never_hangs() {
+        // Regression: `drop` once set the shutdown flag outside the queue
+        // lock, so a worker between its check and its wait slept forever
+        // and `join` hung. The watchdog turns a recurrence into a failure.
+        let (done, finished) = mpsc::channel();
+        let churn = std::thread::spawn(move || {
+            for _ in 0..2_000 {
+                drop(WorkerPool::new(2));
             }
-            // Drop joins workers after the queue drains.
-        }
-        assert_eq!(ran.load(Ordering::Relaxed), 16);
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("creating and dropping pools hung");
+        churn.join().unwrap();
     }
 
     #[test]

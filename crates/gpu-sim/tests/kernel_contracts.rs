@@ -1,9 +1,8 @@
 //! Integration tests of the kernel execution contract: custom kernels
-//! exercising ordering, readback accounting, occupancy and async overlap.
+//! exercising ordering, readback accounting and occupancy.
 
 use pmcts_gpu_sim::{Device, DeviceSpec, Kernel, LaunchConfig, ThreadId};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 /// Records every `init` call and returns the thread's coordinates.
 struct Echo {
@@ -80,18 +79,6 @@ fn occupancy_reported_on_stats() {
     let full = dev.launch(&Wide { bytes: 1 }, LaunchConfig::new(448, 1024));
     assert!(tiny.stats.occupancy < 0.01);
     assert_eq!(full.stats.occupancy, 1.0);
-}
-
-#[test]
-fn two_async_launches_overlap_and_both_complete() {
-    let dev = Device::new(DeviceSpec::tesla_c2050());
-    let a = dev.launch_async(Arc::new(Wide { bytes: 1 }), LaunchConfig::new(8, 64));
-    let b = dev.launch_async(Arc::new(Wide { bytes: 1 }), LaunchConfig::new(8, 64));
-    let ra = a.wait();
-    let rb = b.wait();
-    assert_eq!(ra.outputs.len(), 512);
-    assert_eq!(rb.outputs.len(), 512);
-    assert_eq!(ra.stats, rb.stats, "identical launches cost the same");
 }
 
 /// A kernel with heavy per-lane work to check SM queueing arithmetic.

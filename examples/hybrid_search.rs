@@ -1,7 +1,7 @@
-//! Hybrid CPU/GPU processing (paper §III-A, Fig. 4): launch kernels
-//! asynchronously and keep deepening the trees on the CPU while the GPU
-//! simulates. This example shows the depth and simulation gains over
-//! GPU-only block parallelism at the same virtual budget.
+//! Hybrid CPU/GPU processing (paper §III-A, Fig. 4): keep deepening the
+//! trees on the CPU while the GPU simulates, the overlap billed in virtual
+//! time. This example shows the depth and simulation gains over GPU-only
+//! block parallelism at the same virtual budget.
 //!
 //! Run: `cargo run --release --example hybrid_search`
 

@@ -7,10 +7,11 @@
 # Builds BASE in a temporary `git worktree`, then regenerates on both trees
 # the quick seed-7 fault matrix (Reversi, Hex 11x11 and service sessions),
 # the serve and fleet (`--sessions 64 --devices 4`) artifacts, the
-# frontier, and the profile canonicalised with `check_bench.py --canon`
-# (wall-clock fields stripped). Prints one line per artifact and exits
-# non-zero if any pair differs. An artifact BASE does not produce is
-# printed as `head-only` and not compared.
+# frontier, the profile canonicalised with `check_bench.py --canon`
+# (wall-clock fields stripped), and the Fig. 8 point and depth series
+# (whole hybrid and GPU-only games under a virtual time budget). Prints one
+# line per artifact and exits non-zero if any pair differs. An artifact
+# BASE does not produce is printed as `head-only` and not compared.
 set -euo pipefail
 
 base=${1:?usage: scripts/diff_artifacts.sh BASE}
@@ -35,6 +36,7 @@ generate() {
     "$bin/serve" --quick --seed 7 --sessions 64 --devices 4 --out "$out" >/dev/null 2>&1
     "$bin/frontier" --quick --seed 7 --out "$out" >/dev/null 2>&1
     "$bin/profile" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    "$bin/fig8_hybrid" --quick --seed 7 --out "$out" >/dev/null 2>&1
     # Bases that still have tree parallelism emit a `tree_parallel` profile
     # record whose phase times depend on the OS scheduler; dropping it keeps
     # diffs against those bases meaningful.
@@ -49,7 +51,7 @@ generate "$work/base" "$work/out-base"
 generate "$root" "$work/out-head"
 
 status=0
-for f in fault_matrix.json fault_matrix_hex11.json fault_matrix_service.json serve.json fleet.json frontier.json profile.canon.json; do
+for f in fault_matrix.json fault_matrix_hex11.json fault_matrix_service.json serve.json fleet.json frontier.json profile.canon.json fig8_points.tsv fig8_depth.tsv; do
     if [ ! -e "$work/out-base/$f" ]; then
         echo "head-only  $f"
     elif cmp -s "$work/out-base/$f" "$work/out-head/$f"; then
