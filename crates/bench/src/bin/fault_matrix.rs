@@ -34,7 +34,6 @@ use pmcts_bench::{
 };
 use pmcts_core::prelude::*;
 use pmcts_gpu_sim::WorkerPool;
-use pmcts_mpi_sim::NetworkModel;
 use std::sync::Arc;
 
 /// The scheme roster, in cell-emission order. This is the single source

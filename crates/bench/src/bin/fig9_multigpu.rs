@@ -16,7 +16,6 @@
 use pmcts_bench::{midgame_position, print_series, BenchArgs};
 use pmcts_core::arena::MatchSeries;
 use pmcts_core::prelude::*;
-use pmcts_mpi_sim::NetworkModel;
 use pmcts_util::Series;
 
 fn gpu_sweep(full: bool) -> Vec<usize> {

@@ -13,7 +13,6 @@
 
 use pmcts_bench::{midgame_position, phase_record, write_json, BenchArgs, JsonObject};
 use pmcts_core::prelude::*;
-use pmcts_mpi_sim::NetworkModel;
 
 /// GPU launch geometries to sweep (blocks × threads-per-block).
 fn geometries(full: bool) -> Vec<(u32, u32)> {

@@ -34,16 +34,16 @@
 //! Outputs and `KernelStats` of the two engines are asserted equal before
 //! timing, so the speedup is measured on provably identical work; the two
 //! tree layouts are grown through identical operation sequences (the
-//! equivalence oracle in `pmcts_core::tree_aos` proves them bit-identical).
+//! equivalence oracle in `pmcts_bench::tree_aos` proves them bit-identical).
 //!
 //! Run: `cargo run --release -p pmcts-bench --bin throughput -- [--full]`
 //! (`--out DIR` also writes `DIR/BENCH_throughput.json`).
 
+use pmcts_bench::tree_aos::AosSearchTree;
 use pmcts_bench::{midgame_position, write_json, BenchArgs, JsonObject};
 use pmcts_core::gpu::PlayoutKernel;
 use pmcts_core::prelude::*;
 use pmcts_core::tree::SearchTree;
-use pmcts_core::tree_aos::AosSearchTree;
 use pmcts_gpu_sim::executor::{execute_kernel, execute_kernel_lockstep};
 use pmcts_gpu_sim::WorkerPool;
 use pmcts_util::{Rng64, Xoshiro256pp};

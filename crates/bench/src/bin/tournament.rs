@@ -11,7 +11,6 @@
 use pmcts_bench::BenchArgs;
 use pmcts_core::arena::MatchSeries;
 use pmcts_core::prelude::*;
-use pmcts_mpi_sim::NetworkModel;
 
 /// A named player factory.
 struct Entrant<G: Game> {

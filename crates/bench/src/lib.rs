@@ -5,6 +5,12 @@
 //! parameter, and print labelled TSV series ([`print_series`]) that
 //! correspond one-to-one to the curves of the paper's figures. Output goes
 //! to stdout and, with `--out DIR`, to `DIR/<name>.tsv`.
+//!
+//! [`tree_aos`] keeps the original array-of-structs search tree as the
+//! `throughput` baseline and the layout-equivalence oracle of the SoA
+//! [`SearchTree`](pmcts_core::tree::SearchTree).
+
+pub mod tree_aos;
 
 use pmcts_games::{Game, Reversi};
 use pmcts_util::stats::Series;

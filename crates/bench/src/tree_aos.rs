@@ -1,20 +1,21 @@
 //! The original array-of-structs search tree, retained as a baseline.
 //!
-//! This is the pre-SoA [`crate::tree::SearchTree`] layout: one `Node` struct
-//! per tree node, each owning a heap-allocated `children: Vec<NodeId>` and an
-//! inline 128-slot untried-move buffer. It is kept for the same reason
-//! `execute_kernel_lockstep` survives in `gpu-sim`: as a slow, obviously
-//! correct oracle. The layout-equivalence tests in this module grow both
-//! trees through identical operation sequences and assert bit-identical
-//! statistics, and the `throughput` benchmark measures tree-op rates on both
-//! layouts so the SoA speedup is reported against a baseline compiled in the
-//! same binary with the same flags.
+//! This is the pre-SoA [`SearchTree`](pmcts_core::tree::SearchTree) layout:
+//! one `Node` struct per tree node, each owning a heap-allocated
+//! `children: Vec<NodeId>` and an inline 128-slot untried-move buffer. It
+//! is kept for the same reason `execute_kernel_lockstep` survives in
+//! `gpu-sim`: as a slow, obviously correct oracle. The layout-equivalence
+//! tests in this module grow both trees through identical operation
+//! sequences and assert bit-identical statistics, and the `throughput`
+//! benchmark measures tree-op rates on both layouts so the SoA speedup is
+//! reported against a baseline compiled in the same binary with the same
+//! flags.
 //!
 //! Nothing in the search path uses this module.
 
-use crate::config::FinalMoveRule;
-use crate::tree::{best_from_stats, NodeId, RootStat};
-use crate::ucb::ucb1;
+use pmcts_core::config::FinalMoveRule;
+use pmcts_core::tree::{best_from_stats, NodeId, RootStat};
+use pmcts_core::ucb::ucb1;
 use pmcts_games::{Game, MoveBuf, Player};
 use pmcts_util::Rng64;
 
@@ -200,7 +201,7 @@ impl<G: Game> AosSearchTree<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::SearchTree;
+    use pmcts_core::tree::SearchTree;
     use pmcts_games::{Reversi, TicTacToe};
     use pmcts_util::Xoshiro256pp;
 

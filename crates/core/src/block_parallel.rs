@@ -67,11 +67,6 @@ impl<G: Game> BlockParallelSearcher<G> {
         }
     }
 
-    /// The launch geometry (blocks = trees).
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.solo.launch
-    }
-
     /// Number of trees (= blocks).
     pub fn trees(&self) -> u32 {
         self.solo.launch.blocks

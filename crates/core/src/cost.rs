@@ -1,4 +1,5 @@
-//! Virtual-time cost model for host-side (CPU) work.
+//! Virtual-time cost models for host-side (CPU) work and for the cluster
+//! network.
 //!
 //! The simulator executes everything on the host, so "how long would this
 //! have taken on the paper's Xeon X5670" is modelled explicitly, mirroring
@@ -12,6 +13,11 @@
 //!   number of blocks/trees in the block-parallel scheme and caps its
 //!   simulations/second, paper Fig. 5);
 //! * small per-launch host bookkeeping.
+//!
+//! [`NetworkModel`] prices the MPI allreduce that merges root statistics
+//! across the ranks of the multi-GPU and multi-node searchers (paper
+//! Fig. 9): the ranks themselves run on the host worker pool, so the
+//! interconnect exists only as this cost.
 
 use pmcts_util::SimTime;
 
@@ -101,6 +107,67 @@ impl CpuCostModel {
     }
 }
 
+/// Latency/bandwidth model used to charge virtual time for communication.
+///
+/// The model is the classic LogP-style first-order approximation: a message
+/// of `b` bytes costs `latency + b / bandwidth`, and a collective over `n`
+/// ranks costs `ceil(log2 n)` message rounds, the complexity of the
+/// tree/dissemination algorithms of real MPI implementations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NetworkModel {
+    /// One-way small-message latency.
+    pub latency: SimTime,
+    /// Bandwidth in bytes per nanosecond (≈ GB/s).
+    pub bytes_per_ns: u64,
+}
+
+impl NetworkModel {
+    /// QDR InfiniBand, the TSUBAME 2.0 interconnect: ~2 µs latency,
+    /// ~4 GB/s effective per-link bandwidth.
+    pub fn infiniband() -> Self {
+        NetworkModel {
+            latency: SimTime::from_micros(2),
+            bytes_per_ns: 4,
+        }
+    }
+
+    /// A zero-cost network for unit tests.
+    pub fn ideal() -> Self {
+        NetworkModel {
+            latency: SimTime::ZERO,
+            bytes_per_ns: u64::MAX,
+        }
+    }
+
+    /// Virtual time for one point-to-point message of `bytes`.
+    pub fn p2p_time(&self, bytes: u64) -> SimTime {
+        if self.bytes_per_ns == u64::MAX {
+            return self.latency;
+        }
+        self.latency + SimTime::from_nanos(bytes / self.bytes_per_ns.max(1))
+    }
+
+    /// Virtual time for a reduce/broadcast of `bytes` over `ranks` ranks
+    /// (binomial tree).
+    pub fn collective_time(&self, bytes: u64, ranks: usize) -> SimTime {
+        self.p2p_time(bytes) * log2_ceil(ranks)
+    }
+
+    /// Virtual time for an allreduce (reduce + broadcast).
+    pub fn allreduce_time(&self, bytes: u64, ranks: usize) -> SimTime {
+        self.collective_time(bytes, ranks) * 2
+    }
+}
+
+/// `ceil(log2(n))` with `log2_ceil(0 | 1) == 0`.
+fn log2_ceil(n: usize) -> u64 {
+    if n <= 1 {
+        0
+    } else {
+        (usize::BITS - (n - 1).leading_zeros()) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,5 +195,49 @@ mod tests {
         assert_eq!(m.playout(1000), SimTime::ZERO);
         assert_eq!(m.tree_op(1000), SimTime::ZERO);
         assert!(m.playouts_per_second(60).is_infinite());
+    }
+
+    #[test]
+    fn log2_ceil_values() {
+        assert_eq!(log2_ceil(0), 0);
+        assert_eq!(log2_ceil(1), 0);
+        assert_eq!(log2_ceil(2), 1);
+        assert_eq!(log2_ceil(3), 2);
+        assert_eq!(log2_ceil(4), 2);
+        assert_eq!(log2_ceil(5), 3);
+        assert_eq!(log2_ceil(32), 5);
+        assert_eq!(log2_ceil(33), 6);
+    }
+
+    #[test]
+    fn p2p_time_includes_bandwidth() {
+        let net = NetworkModel {
+            latency: SimTime::from_nanos(100),
+            bytes_per_ns: 2,
+        };
+        assert_eq!(net.p2p_time(0), SimTime::from_nanos(100));
+        assert_eq!(net.p2p_time(200), SimTime::from_nanos(200));
+    }
+
+    #[test]
+    fn collectives_scale_logarithmically() {
+        let net = NetworkModel::infiniband();
+        let t4 = net.collective_time(64, 4);
+        let t16 = net.collective_time(64, 16);
+        assert_eq!(t16, t4 * 2, "16 ranks = 4 rounds vs 2 rounds");
+        assert_eq!(net.allreduce_time(64, 4), t4 * 2);
+    }
+
+    #[test]
+    fn ideal_network_is_free() {
+        let net = NetworkModel::ideal();
+        assert_eq!(net.p2p_time(1 << 30), SimTime::ZERO);
+        assert_eq!(net.allreduce_time(1 << 20, 64), SimTime::ZERO);
+    }
+
+    #[test]
+    fn single_rank_collectives_are_free() {
+        let net = NetworkModel::infiniband();
+        assert_eq!(net.collective_time(1024, 1), SimTime::ZERO);
     }
 }

@@ -114,11 +114,6 @@ impl<G: Game> DeviceTreeSearcher<G> {
         }
     }
 
-    /// The launch geometry (blocks = resident trees).
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.launch
-    }
-
     /// Number of resident trees (= blocks).
     pub fn trees(&self) -> u32 {
         self.launch.blocks

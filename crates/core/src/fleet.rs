@@ -5,7 +5,7 @@
 //! amortises launch overhead across sessions. A production deployment has
 //! many devices and far more sessions than any one device can hold, so the
 //! [`Fleet`] owns N **shards** — one [`SearchService`] per simulated
-//! [`Device`], identified by its simulated MPI [`Rank`] — and adds the
+//! [`Device`], identified by its shard id [`Rank`] — and adds the
 //! three fleet-layer policies, all expressed in virtual time so results
 //! stay bit-identical at any `--host-threads` count:
 //!
@@ -54,12 +54,23 @@ use crate::searcher::SearchReport;
 use crate::service::{SearchService, SessionId, SessionScheme};
 use pmcts_games::Game;
 use pmcts_gpu_sim::Device;
-use pmcts_mpi_sim::Rank;
 use pmcts_util::{FaultPlan, Rng64, SimTime, SplitMix64};
 
 /// Domain-separation key for the fleet's dead-shard schedule (the
 /// [`FaultPlan`] component group shared by every shard of one fleet).
 const FLEET_FAULT_KEY: u64 = 0xF1EE_7000_DEAD_0001;
+
+/// A shard id, `0..device count`: shard `i` serves the fleet's device `i`,
+/// as rank `i` of an MPI job owns its GPU. Ordering is numeric, the same
+/// order every deterministic tie-break in the fleet uses.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Rank(pub usize);
+
+impl std::fmt::Display for Rank {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "r{}", self.0)
+    }
+}
 
 /// Priority class of an offered session. Lower classes are more urgent:
 /// the wait queue drains `Interactive` first, and under a full queue a
@@ -217,7 +228,7 @@ pub struct FleetCompleted<M> {
 /// A read-only snapshot of one shard, for artifacts and assertions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSnapshot {
-    /// The shard's identity (its simulated MPI rank).
+    /// The shard's identity.
     pub rank: Rank,
     /// Whether the shard's device has died.
     pub dead: bool,

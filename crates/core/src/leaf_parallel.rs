@@ -56,11 +56,6 @@ impl<G: Game> LeafParallelSearcher<G> {
             _game: std::marker::PhantomData,
         }
     }
-
-    /// The launch geometry in use.
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.solo.launch
-    }
 }
 
 impl<G: Game> Searcher<G> for LeafParallelSearcher<G> {

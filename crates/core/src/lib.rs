@@ -27,7 +27,8 @@
 //!   time, the longer side charged), fixing the shallow-tree weakness of
 //!   GPU-only search (paper Fig. 8).
 //! * [`multi_gpu`] — root parallelism over MPI ranks, one simulated GPU per
-//!   rank (paper Fig. 9).
+//!   rank (paper Fig. 9); the ranks run on the host worker pool and the
+//!   interconnect is priced by [`cost::NetworkModel`].
 //! * [`wu_uct`] — the exploration-loss fix (DESIGN.md §16): block
 //!   parallelism over **one shared tree**, selection corrected by WU-UCT
 //!   in-flight counts so concurrent batches diversify instead of piling
@@ -39,13 +40,12 @@
 //!   select/expand of wave *k* overlaps the in-flight kernel of wave
 //!   *k−1*, priced by the same overlap bill as [`hybrid`].
 //!
-//! Supporting modules: [`tree`] (structure-of-arrays search tree; the
-//! original array-of-structs layout survives in [`tree_aos`] as the
-//! benchmark baseline and equivalence oracle), [`ucb`]
+//! Supporting modules: [`tree`] (structure-of-arrays search tree), [`ucb`]
 //! (selection policy), [`gpu`] (the playout kernel run on the simulated
-//! device), [`cost`] (virtual-time cost model of host-side work),
-//! [`searcher`] (the common `Searcher` interface and reports), [`player`] /
-//! [`arena`] (match harness used by every figure experiment).
+//! device), [`cost`] (virtual-time cost models of host-side work and of
+//! the network), [`searcher`] (the common `Searcher` interface and
+//! reports), [`player`] / [`arena`] (match harness used by every figure
+//! experiment).
 //!
 //! # Quick start
 //!
@@ -80,7 +80,6 @@ pub mod service;
 pub mod telemetry;
 pub mod transposition;
 pub mod tree;
-pub mod tree_aos;
 pub mod ucb;
 mod wave;
 pub mod wu_uct;
@@ -90,10 +89,10 @@ pub mod prelude {
     pub use crate::arena::{entrant_stream, play_game, GameRecord, MatchSeries};
     pub use crate::block_parallel::BlockParallelSearcher;
     pub use crate::config::{MctsConfig, SearchBudget};
-    pub use crate::cost::CpuCostModel;
+    pub use crate::cost::{CpuCostModel, NetworkModel};
     pub use crate::device_tree::DeviceTreeSearcher;
     pub use crate::fleet::{
-        Admission, Fleet, FleetCompleted, FleetConfig, FleetSessionId, FleetStats, Priority,
+        Admission, Fleet, FleetCompleted, FleetConfig, FleetSessionId, FleetStats, Priority, Rank,
         ShardSnapshot,
     };
     pub use crate::hybrid::HybridSearcher;
@@ -112,6 +111,5 @@ pub mod prelude {
     pub use crate::wu_uct::WuUctSearcher;
     pub use pmcts_games::{Connect4, Game, Hex11, Hex7, Outcome, Player, Reversi, TicTacToe};
     pub use pmcts_gpu_sim::{Device, DeviceSpec, LaunchConfig};
-    pub use pmcts_mpi_sim::Rank;
     pub use pmcts_util::{FaultCounters, FaultPlan, GpuFault, SimTime};
 }

@@ -11,11 +11,11 @@
 
 use crate::block_parallel::BlockParallelSearcher;
 use crate::config::{MctsConfig, SearchBudget};
+use crate::cost::NetworkModel;
 use crate::root_parallel::run_ranks;
 use crate::searcher::{SearchReport, Searcher};
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, DeviceSpec, LaunchConfig, WorkerPool};
-use pmcts_mpi_sim::NetworkModel;
 use std::sync::Arc;
 
 /// Root-parallel search over `ranks` simulated GPUs connected by MPI.
@@ -26,9 +26,10 @@ pub struct MultiGpuSearcher<G: Game> {
     device_spec: DeviceSpec,
     launch: LaunchConfig,
     network: NetworkModel,
-    /// One persistent pool shared by every rank's device: the host's cores
-    /// are a single resource, and sharing avoids spawning `ranks` pools per
-    /// search. Results are unaffected (block-order folding per launch).
+    /// One persistent pool runs the ranks and every rank's device: the
+    /// host's cores are a single resource, and a search creates no thread.
+    /// Results are unaffected (rank-order merge, block-order folding per
+    /// launch).
     pool: Arc<WorkerPool>,
     generation: u64,
     _game: std::marker::PhantomData<fn() -> G>,
@@ -57,8 +58,8 @@ impl<G: Game> MultiGpuSearcher<G> {
         }
     }
 
-    /// Shares an existing worker pool across the ranks' devices instead of
-    /// owning one. Virtual timing and results are unaffected.
+    /// Shares an existing worker pool for the ranks and their devices
+    /// instead of owning one. Virtual timing and results are unaffected.
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = pool;
         self
@@ -73,10 +74,9 @@ impl<G: Game> MultiGpuSearcher<G> {
 impl<G: Game> Searcher<G> for MultiGpuSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         self.generation += 1;
-        // All ranks' devices execute on one shared persistent pool — the
-        // host's cores are a single resource however many GPUs we simulate.
         run_ranks(
             &self.config,
+            &self.pool,
             self.ranks,
             self.network,
             self.generation,

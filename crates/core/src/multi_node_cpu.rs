@@ -1,7 +1,7 @@
 //! Massively parallel CPU root parallelism over MPI — the authors' earlier
 //! system (ref \[4\], "Massively Parallel Monte Carlo Tree Search", which
 //! the paper's introduction says ran on thousands of CPU threads) rebuilt
-//! on the simulated MPI substrate.
+//! on simulated MPI ranks.
 //!
 //! Each rank models one multi-core node running [`RootParallelSearcher`]
 //! with `threads_per_rank` trees; rank statistics are merged by the same
@@ -10,11 +10,11 @@
 //! 256 threads is 22 nodes of the paper's 12-core Xeon X5670 machines.
 
 use crate::config::{MctsConfig, SearchBudget};
+use crate::cost::NetworkModel;
 use crate::root_parallel::{run_ranks, RootParallelSearcher};
 use crate::searcher::{SearchReport, Searcher};
 use pmcts_games::Game;
 use pmcts_gpu_sim::WorkerPool;
-use pmcts_mpi_sim::NetworkModel;
 use std::sync::Arc;
 
 /// Root parallelism across `ranks` simulated cluster nodes with
@@ -25,9 +25,9 @@ pub struct MultiNodeCpuSearcher<G: Game> {
     ranks: usize,
     threads_per_rank: usize,
     network: NetworkModel,
-    /// Persistent host workers shared by every rank's root searcher, so a
-    /// search spawns no threads beyond the rank drivers. Rank results are
-    /// keyed by rank id, so the pool never affects results.
+    /// Persistent host workers that run the ranks and every rank's trees,
+    /// so a search creates no thread. Rank results are keyed by rank id and
+    /// tree results by tree index, so the pool never affects results.
     pool: Arc<WorkerPool>,
     generation: u64,
     _game: std::marker::PhantomData<fn() -> G>,
@@ -54,7 +54,7 @@ impl<G: Game> MultiNodeCpuSearcher<G> {
         }
     }
 
-    /// Shares an existing worker pool for the per-rank host phases instead
+    /// Shares an existing worker pool for the ranks and their trees instead
     /// of owning one. Virtual timing and results are unaffected.
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = pool;
@@ -70,11 +70,12 @@ impl<G: Game> MultiNodeCpuSearcher<G> {
 impl<G: Game> Searcher<G> for MultiNodeCpuSearcher<G> {
     fn search(&mut self, root: G, budget: SearchBudget) -> SearchReport<G::Move> {
         self.generation += 1;
-        // Every rank shares the one persistent pool; concurrent scoped
-        // fan-outs are safe (the caller participates) and results are keyed
-        // by tree index, so sharing never affects them.
+        // Each rank's tree fan-out nests in the rank fan-out on the same
+        // pool; that cannot deadlock, because the caller of a fan-out does
+        // every job no worker has started.
         run_ranks(
             &self.config,
+            &self.pool,
             self.ranks,
             self.network,
             self.generation,

@@ -71,11 +71,6 @@ impl<G: Game> PipelinedSearcher<G> {
             _game: std::marker::PhantomData,
         }
     }
-
-    /// The launch geometry (blocks = trees).
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.solo.launch
-    }
 }
 
 impl<G: Game> Searcher<G> for PipelinedSearcher<G> {

@@ -18,15 +18,16 @@
 //! one, and `run_ranks` is the MPI rank driver behind
 //! [`MultiGpuSearcher`](crate::multi_gpu::MultiGpuSearcher) and
 //! [`MultiNodeCpuSearcher`](crate::multi_node_cpu::MultiNodeCpuSearcher).
+//! Trees and ranks alike fan out over one [`WorkerPool`].
 
 use crate::config::{FinalMoveRule, MctsConfig, SearchBudget};
+use crate::cost::NetworkModel;
 use crate::searcher::{empty_report, overshoot_of, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::{critical_index, PhaseBreakdown};
 use crate::tree::{best_from_stats, merge_root_stats, RootStat};
 use pmcts_games::Game;
 use pmcts_gpu_sim::WorkerPool;
-use pmcts_mpi_sim::{NetworkModel, World};
 use pmcts_util::{FaultCounters, SimTime};
 use std::sync::Arc;
 
@@ -195,20 +196,22 @@ pub(crate) fn merge_reports<M: Copy>(
     }
 }
 
-/// Runs `ranks` simulated MPI ranks over `network`, rank `r` searching with
+/// Runs `ranks` simulated MPI ranks on `pool`, rank `r` searching with
 /// `search(stream)` on stream `gen · ranks + r`, allreduces their root
-/// statistics and merges the rank reports with [`merge_reports`], the
-/// allreduce as merge cost.
+/// statistics over `network` and merges the rank reports with
+/// [`merge_reports`], the allreduce as merge cost.
 ///
-/// Faults are keyed by the search generation `gen`. A dead rank produces
-/// nothing; a live rank may have its contribution dropped by the network
-/// (it searched, but its statistics miss the merge). Both still join the
-/// sparse allreduce, so nothing can hang, and each counts as one injected
-/// and one excluded fault. Any such failure prices the allreduce at the
-/// detection timeout; otherwise the network schedule may delay-spike it.
-/// Rank 0 is never dead and never dropped, so a merge always exists.
-pub(crate) fn run_ranks<M: Copy + Eq + Send + 'static>(
+/// The allreduce's result is the fold of the surviving contributions in
+/// rank order, whichever worker ran which rank. Faults are keyed by the
+/// search generation `gen`. A dead rank produces nothing; a live rank may
+/// have its contribution dropped by the network (it searched, but its
+/// statistics miss the merge). Each counts as one injected and one excluded
+/// fault, and any such failure prices the allreduce at the detection
+/// timeout; otherwise the network schedule may delay-spike it. Rank 0 is
+/// never dead and never dropped, so a merge always exists.
+pub(crate) fn run_ranks<M: Copy + Eq + Send>(
     config: &MctsConfig,
+    pool: &WorkerPool,
     ranks: usize,
     network: NetworkModel,
     gen: u64,
@@ -216,36 +219,30 @@ pub(crate) fn run_ranks<M: Copy + Eq + Send + 'static>(
     search: impl Fn(u64) -> SearchReport<M> + Sync,
 ) -> SearchReport<M> {
     let plan = config.faults;
-    let per_rank = World::run(ranks, network, |comm| {
-        let rank = comm.rank() as u64;
-        let (report, contribution) = if plan.component_dead(gen, rank) {
-            (empty_report(), None)
-        } else {
-            let report = search(gen * ranks as u64 + rank);
-            let contribution =
-                (!plan.drops_contribution(gen, rank)).then(|| report.root_stats.clone());
-            (report, contribution)
-        };
-        let merged = comm.allreduce_sparse(contribution, |a, b| merge_root_stats(&[a, b]));
-        (report, merged)
-    });
-    let merged = per_rank[0].1.clone().unwrap_or_default();
-    // Every rank must agree after the allreduce.
-    debug_assert!(per_rank
-        .iter()
-        .all(|(_, m)| m.as_deref() == Some(&merged[..])));
-    let reports: Vec<SearchReport<M>> = per_rank.into_iter().map(|(r, _)| r).collect();
-
-    let mut faults = FaultCounters::default();
-    for rank in 0..ranks as u64 {
-        if plan.component_dead(gen, rank) || plan.drops_contribution(gen, rank) {
-            faults.injected += 1;
-            faults.excluded += 1;
+    let mut slots: Vec<()> = vec![(); ranks];
+    let reports = pool.map_indexed(&mut slots, |rank, ()| {
+        if plan.component_dead(gen, rank as u64) {
+            return empty_report();
         }
-    }
+        search(gen * ranks as u64 + rank as u64)
+    });
+    let lost = |rank: u64| plan.component_dead(gen, rank) || plan.drops_contribution(gen, rank);
+    let contributions: Vec<Vec<RootStat<M>>> = (0..ranks as u64)
+        .zip(&reports)
+        .filter(|&(rank, _)| !lost(rank))
+        .map(|(_, r)| r.root_stats.clone())
+        .collect();
+    let merged = merge_root_stats(&contributions);
+
+    let excluded = (0..ranks as u64).filter(|&rank| lost(rank)).count() as u64;
+    let mut faults = FaultCounters {
+        injected: excluded,
+        excluded,
+        ..FaultCounters::default()
+    };
     let stats_bytes = (merged.len() * std::mem::size_of::<RootStat<M>>()) as u64;
     let base = network.allreduce_time(stats_bytes, ranks);
-    let merge_cost = if faults.excluded > 0 {
+    let merge_cost = if excluded > 0 {
         plan.net_timeout(base)
     } else if let Some(factor) = plan.net_delay_spike(gen, 0) {
         faults.injected += 1;

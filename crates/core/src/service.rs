@@ -7,10 +7,9 @@
 //! the device's SMs idle. [`SearchService`] multiplexes sessions over one
 //! shared device: every *round* it asks each active session for its next
 //! playout batch (selection + expansion on the host, via the steppable
-//! engine surface), packs all batches into **one** kernel through
-//! [`Device::launch_batched`] — block `b` of the merged grid serves
-//! session-queue `b` — and hands each session back its output slice for
-//! backpropagation. One launch overhead and one device round-trip are
+//! engine surface), packs all batches into **one** kernel launch — each
+//! session owns the merged grid's next blocks, in session order — and
+//! hands each session back its blocks' output slice for backpropagation. One launch overhead and one device round-trip are
 //! amortised over every session, and the merged grid is large enough to
 //! saturate the SMs (the Fig. 5 plateau, across sessions instead of
 //! trees). A session runs the same round engine as the matching solo

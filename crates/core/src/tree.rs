@@ -25,8 +25,8 @@
 //! layout ordered it (child iteration in push order, first-wins tie-breaks,
 //! `swap_remove` for untried moves, breadth-first subtree copies), so the
 //! rewrite is a pure layout change: same seed ⇒ bit-identical results. The
-//! original layout survives in [`crate::tree_aos`] as the equivalence
-//! oracle and benchmark baseline.
+//! original layout survives in the bench crate (`pmcts_bench::tree_aos`)
+//! as the equivalence oracle and benchmark baseline.
 
 use crate::config::{FinalMoveRule, MctsConfig};
 use crate::transposition::{TransStats, TransTable};

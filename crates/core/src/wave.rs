@@ -57,7 +57,7 @@ use crate::searcher::{BudgetTracker, SearchReport};
 use crate::service::LaunchRecord;
 use crate::telemetry::PhaseBreakdown;
 use pmcts_games::Game;
-use pmcts_gpu_sim::{BatchSegment, Device, KernelStats, LaunchConfig, WorkerPool};
+use pmcts_gpu_sim::{Device, KernelStats, LaunchConfig, WorkerPool};
 use pmcts_util::{FaultPlan, GpuFault, SimTime, Xoshiro256pp};
 use std::sync::Arc;
 
@@ -331,12 +331,7 @@ impl Launcher {
     /// Launches one wave and runs the fault ladder (see the module docs):
     /// every member's engine ends the call completed or degraded.
     pub(crate) fn launch<G: Game>(&mut self, wave: &mut [Member<'_, G>]) -> Wave {
-        let segments: Vec<BatchSegment> = (0..wave.len())
-            .map(|i| BatchSegment {
-                key: i as u64,
-                blocks: wave[i].request.blocks,
-            })
-            .collect();
+        let blocks: u32 = wave.iter().map(|m| m.request.blocks).sum();
         let roots: Vec<G> = wave
             .iter()
             .flat_map(|m| m.request.positions.iter().copied())
@@ -364,16 +359,16 @@ impl Launcher {
                 .map(|m| m.engine.ledger().next_fault(m.request.blocks))
                 .collect();
             upload = self.launch_prep + self.device.spec().transfer_time(kernel.upload_bytes());
-            let batched = self
+            let result = self
                 .device
-                .launch_batched(&kernel, self.threads_per_block, &segments);
-            let mut stats = batched.result.stats.clone();
+                .launch(&kernel, LaunchConfig::new(blocks, self.threads_per_block));
+            let mut stats = result.stats.clone();
             slow_down(&mut stats, &faults);
             elapsed = stats.elapsed();
             if let Some(records) = &mut self.records {
                 records.push(LaunchRecord {
                     sessions: wave.len() as u32,
-                    blocks: segments.iter().map(|s| s.blocks).sum(),
+                    blocks,
                     elapsed,
                 });
             }
@@ -416,7 +411,11 @@ impl Launcher {
                 break;
             }
 
+            // Member `i` owns the merged grid's blocks from where member
+            // `i − 1`'s ended, so its lanes are the next slice of outputs.
+            let mut first = 0;
             for (i, (m, lat)) in wave.iter_mut().zip(&mut latency).enumerate() {
+                let lanes = m.request.blocks as usize * self.threads_per_block as usize;
                 let ledger = m.engine.ledger();
                 let voided = void_of(faults[i], &mut ledger.phases);
                 if self.records.is_none() {
@@ -424,7 +423,9 @@ impl Launcher {
                 } else {
                     ledger.phases.kernel_launches += 1;
                 }
-                m.engine.complete_round(batched.outputs_for(i), voided);
+                m.engine
+                    .complete_round(&result.outputs[first..first + lanes], voided);
+                first += lanes;
                 lat.kernel += stats.launch_overhead + stats.device_time;
                 lat.readback += stats.readback_time;
             }

@@ -90,11 +90,6 @@ impl<G: Game> WuUctSearcher<G> {
         }
     }
 
-    /// The launch geometry (blocks = concurrent in-flight batches).
-    pub fn launch_config(&self) -> LaunchConfig {
-        self.solo.launch
-    }
-
     fn engine(&self, root: G, budget: SearchBudget) -> WuUctEngine<G> {
         let s = &self.solo;
         WuUctEngine::new(

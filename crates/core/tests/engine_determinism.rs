@@ -14,7 +14,6 @@ use pmcts_core::prelude::*;
 use pmcts_core::tree::SearchTree;
 use pmcts_gpu_sim::executor::execute_kernel_lockstep;
 use pmcts_gpu_sim::WorkerPool;
-use pmcts_mpi_sim::NetworkModel;
 use pmcts_util::Xoshiro256pp;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -333,19 +332,47 @@ fn root_parallel_identical_on_shared_pool() {
 }
 
 #[test]
-fn multi_gpu_identical_across_host_threads() {
-    assert_reports_identical("multi-gpu", SearchBudget::Iterations(3), |t| {
-        Box::new(
-            MultiGpuSearcher::new(
-                cfg(26),
-                3,
-                DeviceSpec::tesla_c2050(),
-                LaunchConfig::new(2, 32),
-                NetworkModel::infiniband(),
+fn multi_gpu_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "multi-gpu",
+        SearchBudget::Iterations(3),
+        "Some(ReversiMove(26))/s576/i9/e2350868/v576/w4643492690795692032",
+        |t| {
+            Box::new(
+                MultiGpuSearcher::new(
+                    cfg(26),
+                    3,
+                    DeviceSpec::tesla_c2050(),
+                    LaunchConfig::new(2, 32),
+                    NetworkModel::infiniband(),
+                )
+                .with_pool(Arc::new(WorkerPool::new(t))),
             )
-            .with_pool(Arc::new(WorkerPool::new(t))),
-        )
-    });
+        },
+    );
+}
+
+#[test]
+fn multi_gpu_time_budget_identical_across_host_threads_and_pinned() {
+    // Under a virtual-time budget every rank runs its own launch planner;
+    // the merged report must see neither the rank fan-out nor the pool.
+    assert_identical_and_pinned(
+        "multi-gpu (time)",
+        SearchBudget::VirtualTime(SimTime::from_millis(3)),
+        "Some(ReversiMove(19))/s576/i9/e2362607/v576/w4643659816563113984",
+        |t| {
+            Box::new(
+                MultiGpuSearcher::new(
+                    cfg(55),
+                    3,
+                    DeviceSpec::tesla_c2050(),
+                    LaunchConfig::new(2, 32),
+                    NetworkModel::infiniband(),
+                )
+                .with_pool(Arc::new(WorkerPool::new(t))),
+            )
+        },
+    );
 }
 
 #[test]
@@ -650,44 +677,60 @@ fn root_parallel_with_faults_identical_across_host_threads() {
 }
 
 #[test]
-fn multi_gpu_with_faults_identical_across_host_threads() {
-    assert_reports_identical("multi-gpu+faults", SearchBudget::Iterations(3), |t| {
-        Box::new(
-            MultiGpuSearcher::new(
-                cfg(35).with_faults(mixed_plan(45)),
-                3,
-                DeviceSpec::tesla_c2050(),
-                LaunchConfig::new(2, 32),
-                NetworkModel::infiniband(),
-            )
-            .with_pool(Arc::new(WorkerPool::new(t))),
-        )
-    });
-}
-
-#[test]
-fn multi_node_cpu_with_faults_identical_across_runs() {
-    let run = || {
-        MultiNodeCpuSearcher::<Reversi>::new(
-            cfg(36).with_faults(mixed_plan(46)),
-            2,
-            4,
-            NetworkModel::infiniband(),
-        )
-        .search(Reversi::initial(), SearchBudget::Iterations(10))
-    };
-    assert_eq!(run(), run());
-}
-
-#[test]
-fn multi_node_cpu_identical_across_host_threads() {
-    // The shared host pool must never leak into results.
-    assert_reports_identical("multi-node-cpu", SearchBudget::Iterations(10), |t| {
-        Box::new(
-            MultiNodeCpuSearcher::new(cfg(47), 2, 4, NetworkModel::infiniband())
+fn multi_gpu_with_faults_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "multi-gpu+faults",
+        SearchBudget::Iterations(3),
+        "Some(ReversiMove(37))/s288/i6/e3898575/v288/w4638971498982277120",
+        |t| {
+            Box::new(
+                MultiGpuSearcher::new(
+                    cfg(35).with_faults(mixed_plan(45)),
+                    3,
+                    DeviceSpec::tesla_c2050(),
+                    LaunchConfig::new(2, 32),
+                    NetworkModel::infiniband(),
+                )
                 .with_pool(Arc::new(WorkerPool::new(t))),
-        )
-    });
+            )
+        },
+    );
+}
+
+#[test]
+fn multi_node_cpu_with_faults_identical_across_host_threads_and_pinned() {
+    assert_identical_and_pinned(
+        "multi-node-cpu+faults",
+        SearchBudget::Iterations(10),
+        "Some(ReversiMove(26))/s70/i70/e1047088/v70/w4630404104378646528",
+        |t| {
+            Box::new(
+                MultiNodeCpuSearcher::new(
+                    cfg(36).with_faults(mixed_plan(46)),
+                    2,
+                    4,
+                    NetworkModel::infiniband(),
+                )
+                .with_pool(Arc::new(WorkerPool::new(t))),
+            )
+        },
+    );
+}
+
+#[test]
+fn multi_node_cpu_identical_across_host_threads_and_pinned() {
+    // The shared host pool must never leak into results.
+    assert_identical_and_pinned(
+        "multi-node-cpu",
+        SearchBudget::Iterations(10),
+        "Some(ReversiMove(26))/s80/i80/e1056688/v80/w4629981891913580544",
+        |t| {
+            Box::new(
+                MultiNodeCpuSearcher::new(cfg(47), 2, 4, NetworkModel::infiniband())
+                    .with_pool(Arc::new(WorkerPool::new(t))),
+            )
+        },
+    );
 }
 
 #[test]

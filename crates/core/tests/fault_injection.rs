@@ -18,7 +18,6 @@
 
 use pmcts_core::prelude::*;
 use pmcts_gpu_sim::WorkerPool;
-use pmcts_mpi_sim::NetworkModel;
 use proptest::prelude::*;
 use std::sync::Arc;
 

@@ -1,9 +1,9 @@
 //! Direct tests of the `NetworkModel` cost model: monotonicity in bytes and
-//! ranks, and `ideal()` as a lower bound of `infiniband()`. The searchers
-//! charge allreduce/barrier costs straight from this model, so a regression
-//! here silently skews every multi-rank figure.
+//! ranks, and `ideal()` as a lower bound of `infiniband()`. The rank driver
+//! charges the allreduce straight from this model, so a regression here
+//! silently skews every multi-rank figure.
 
-use pmcts_mpi_sim::NetworkModel;
+use pmcts_core::cost::NetworkModel;
 use pmcts_util::SimTime;
 
 const BYTE_SIZES: [u64; 6] = [0, 1, 64, 4 << 10, 1 << 20, 1 << 28];
@@ -38,20 +38,6 @@ fn p2p_is_monotone_in_bytes() {
 fn p2p_has_latency_floor() {
     for net in models() {
         assert_eq!(net.p2p_time(0), net.latency);
-    }
-}
-
-#[test]
-fn barrier_is_monotone_in_ranks() {
-    for net in models() {
-        for w in RANK_COUNTS.windows(2) {
-            assert!(
-                net.barrier_time(w[0]) <= net.barrier_time(w[1]),
-                "{net:?}: barrier({}) > barrier({})",
-                w[0],
-                w[1]
-            );
-        }
     }
 }
 
@@ -95,7 +81,6 @@ fn allreduce_is_monotone_and_twice_the_collective() {
 fn single_rank_collectives_cost_nothing() {
     for net in models() {
         for &bytes in &BYTE_SIZES {
-            assert_eq!(net.barrier_time(1), SimTime::ZERO);
             assert_eq!(net.collective_time(bytes, 1), SimTime::ZERO);
             assert_eq!(net.allreduce_time(bytes, 1), SimTime::ZERO);
         }
@@ -109,7 +94,6 @@ fn ideal_lower_bounds_infiniband() {
     for &bytes in &BYTE_SIZES {
         assert!(ideal.p2p_time(bytes) <= ib.p2p_time(bytes));
         for &ranks in &RANK_COUNTS {
-            assert!(ideal.barrier_time(ranks) <= ib.barrier_time(ranks));
             assert!(ideal.collective_time(bytes, ranks) <= ib.collective_time(bytes, ranks));
             assert!(ideal.allreduce_time(bytes, ranks) <= ib.allreduce_time(bytes, ranks));
         }

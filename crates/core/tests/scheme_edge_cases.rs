@@ -75,7 +75,7 @@ fn single_rank_multi_gpu_matches_block_parallel_scale() {
         1,
         DeviceSpec::tesla_c2050(),
         launch,
-        pmcts_mpi_sim::NetworkModel::ideal(),
+        NetworkModel::ideal(),
     )
     .search(Reversi::initial(), budget);
     let block = BlockParallelSearcher::<Reversi>::new(cfg(5), Device::c2050(), launch)
@@ -142,7 +142,7 @@ fn searcher_names_are_descriptive() {
         4,
         DeviceSpec::tesla_c2050(),
         LaunchConfig::new(2, 32),
-        pmcts_mpi_sim::NetworkModel::ideal()
+        NetworkModel::ideal()
     )
     .name()
     .contains("4 ranks"));

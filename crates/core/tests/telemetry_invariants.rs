@@ -8,7 +8,6 @@
 //!    reflects time actually spent.
 
 use pmcts_core::prelude::*;
-use pmcts_mpi_sim::NetworkModel;
 
 type BoxedSearcher = Box<dyn Searcher<Reversi>>;
 

@@ -163,7 +163,6 @@ fn budget_overshoot_is_bounded_for_every_scheme() {
 
 #[test]
 fn multi_gpu_charges_allreduce_on_top_of_search() {
-    use pmcts_mpi_sim::NetworkModel;
     let budget = SearchBudget::Iterations(3);
     let launch = LaunchConfig::new(4, 32);
     let ideal = MultiGpuSearcher::<Reversi>::new(

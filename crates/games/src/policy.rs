@@ -9,8 +9,11 @@
 
 use crate::game::Game;
 use crate::playout::PlayoutResult;
-use crate::reversi::{bitboard, eval, Reversi, ReversiMove};
+use crate::reversi::{bitboard, Reversi, ReversiMove};
 use pmcts_util::Rng64;
+
+/// Bitboard of the four corners.
+const CORNERS: u64 = 1 | (1 << 7) | (1 << 56) | (1 << 63);
 
 /// A move-selection rule used inside playouts.
 ///
@@ -78,7 +81,7 @@ impl PlayoutPolicy<Reversi> for ReversiCornerPolicy {
             return state.random_move(rng);
         }
         // 1. Corners are always good.
-        let corners = mask & eval::CORNERS;
+        let corners = mask & CORNERS;
         if corners != 0 {
             let n = corners.count_ones();
             return Some(ReversiMove(bitboard::select_bit(
@@ -148,6 +151,14 @@ mod tests {
     use pmcts_util::Xoshiro256pp;
 
     #[test]
+    fn corners_mask_is_corners() {
+        assert_eq!(CORNERS.count_ones(), 4);
+        for sq in [0u8, 7, 56, 63] {
+            assert_ne!(CORNERS & (1 << sq), 0);
+        }
+    }
+
+    #[test]
     fn uniform_policy_delegates_to_random_move() {
         let mut rng = Xoshiro256pp::new(1);
         let s = Reversi::initial();
@@ -195,7 +206,7 @@ mod tests {
                     poison |= corner_adjacent(corner);
                 }
             }
-            if mask & !poison != 0 && mask & eval::CORNERS == 0 {
+            if mask & !poison != 0 && mask & CORNERS == 0 {
                 assert_eq!(
                     (1u64 << mv.0) & poison,
                     0,

@@ -11,7 +11,6 @@
 //! `d4 = White, e4 = Black, d5 = Black, e5 = White`, Black to move.
 
 pub mod bitboard;
-pub mod eval;
 pub mod notation;
 pub mod zobrist;
 

@@ -170,14 +170,6 @@ impl Device {
         self
     }
 
-    /// Shares an existing worker pool (e.g. one pool across the devices of
-    /// every simulated MPI rank, or with root parallelism). Virtual timing
-    /// is unaffected.
-    pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// The device specification.
     #[inline]
     pub fn spec(&self) -> &DeviceSpec {

@@ -38,7 +38,6 @@
 //! reproducible bit-for-bit from a seed, and a simulated GPU player and a
 //! simulated CPU player can be given identical virtual time budgets.
 
-pub mod batch;
 pub mod device;
 pub mod device_tree;
 pub mod executor;
@@ -47,7 +46,6 @@ pub mod launch;
 pub mod pool;
 pub mod stats;
 
-pub use batch::{BatchSegment, BatchedResult};
 pub use device::{Device, DeviceSpec};
 pub use device_tree::{DeviceAllocator, DeviceTreeSpec, TreeLaunchTrace};
 pub use kernel::{Kernel, LaunchConfig, ThreadId};

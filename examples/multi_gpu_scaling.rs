@@ -4,7 +4,6 @@
 //!
 //! Run: `cargo run --release --example multi_gpu_scaling`
 
-use pmcts::mpi_sim::NetworkModel;
 use pmcts::prelude::*;
 
 fn main() {

@@ -46,8 +46,8 @@ fn mcts_beats_greedy_at_reversi() {
 fn facade_reexports_are_usable() {
     // Compile-and-run check that the `pmcts` facade exposes the full API
     // the README advertises.
+    use pmcts::core::cost::NetworkModel;
     use pmcts::gpu_sim::DeviceSpec;
-    use pmcts::mpi_sim::NetworkModel;
     use pmcts::util::{Histogram, SimTime, WinLoss};
 
     let _ = DeviceSpec::tesla_c2050();

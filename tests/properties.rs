@@ -4,7 +4,6 @@
 use pmcts::games::reversi::bitboard;
 use pmcts::games::{random_playout, Game, MoveBuf, Player, Reversi};
 use pmcts::gpu_sim::{Device, DeviceSpec, Kernel, LaunchConfig, ThreadId};
-use pmcts::mpi_sim::{NetworkModel, World};
 use pmcts::prelude::SimTime;
 use pmcts::util::Xoshiro256pp;
 use proptest::prelude::*;
@@ -110,17 +109,6 @@ proptest! {
         prop_assert!((ta + tb) >= ta);
         prop_assert_eq!((ta * k) / k, ta);
         prop_assert_eq!(ta.saturating_sub(ta), SimTime::ZERO);
-    }
-
-    #[test]
-    fn allreduce_equals_sequential_fold(values in prop::collection::vec(0u64..1 << 30, 1..12)) {
-        let n = values.len();
-        let expected: u64 = values.iter().sum();
-        let vals = values.clone();
-        let out = World::run(n, NetworkModel::ideal(), move |comm| {
-            comm.allreduce(vals[comm.rank()], |a, b| a + b)
-        });
-        prop_assert!(out.into_iter().all(|v| v == expected));
     }
 
     #[test]

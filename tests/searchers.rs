@@ -35,7 +35,7 @@ fn all_searchers(seed: u64) -> Vec<Box<dyn Searcher<Reversi>>> {
             2,
             DeviceSpec::tesla_c2050(),
             LaunchConfig::new(4, 32),
-            pmcts::mpi_sim::NetworkModel::infiniband(),
+            NetworkModel::infiniband(),
         )),
     ]
 }
