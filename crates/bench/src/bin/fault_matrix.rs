@@ -238,7 +238,7 @@ fn service_matrix(args: &BenchArgs, position: Reversi) -> Vec<JsonObject> {
                     .str_field("fault_class", class)
                     .str_field("best_move", &format!("{:?}", best.expect("asserted above")))
                     .u64_field("sessions", SESSIONS_PER_CELL)
-                    .u64_field("launches", svc.launches().len() as u64)
+                    .u64_field("launches", svc.launch_totals().launches)
                     .u64_field(
                         "latency_ns",
                         (first.completed_at - first.admitted_at).as_nanos(),

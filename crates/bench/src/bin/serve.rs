@@ -405,10 +405,8 @@ fn main() {
     }
 
     let batched_time = svc.clock();
-    let launches = svc.launches();
-    let total_batched_sessions: u64 = launches.iter().map(|l| u64::from(l.sessions)).sum();
-    let sessions_per_launch_mean = total_batched_sessions as f64 / launches.len() as f64;
-    let sessions_per_launch_max = launches.iter().map(|l| l.sessions).max().unwrap_or(0);
+    let totals = svc.launch_totals();
+    let sessions_per_launch_mean = totals.sessions as f64 / totals.launches as f64;
     let pps = |sims: u64, t: SimTime| sims as f64 / (t.as_nanos() as f64 / 1e9);
     let batched_pps = pps(batched_sims, batched_time);
     let unbatched_pps = pps(unbatched_sims, unbatched_time);
@@ -426,12 +424,9 @@ fn main() {
                     SearchBudget::Iterations(_) => 0,
                 },
             )
-            .u64_field("launches", launches.len() as u64)
+            .u64_field("launches", totals.launches)
             .f64_field("sessions_per_launch_mean", sessions_per_launch_mean)
-            .u64_field(
-                "sessions_per_launch_max",
-                u64::from(sessions_per_launch_max),
-            )
+            .u64_field("sessions_per_launch_max", u64::from(totals.max_sessions))
             .u64_field("batched_sims", batched_sims)
             .u64_field("batched_time_ns", batched_time.as_nanos())
             .u64_field("unbatched_sims", unbatched_sims)
@@ -449,7 +444,7 @@ fn main() {
          {:.0} batched vs {:.0} unbatched playouts/s ({:.2}x)",
         latencies.len(),
         m,
-        launches.len(),
+        totals.launches,
         sessions_per_launch_mean,
         batched_pps,
         unbatched_pps,

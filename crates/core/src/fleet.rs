@@ -503,13 +503,8 @@ impl<G: Game> Fleet<G> {
                 replaced_in: sh.replaced_in,
                 active: sh.active.len(),
                 clock: sh.service.clock(),
-                launches: sh.service.launches().len() as u64,
-                blocks: sh
-                    .service
-                    .launches()
-                    .iter()
-                    .map(|l| u64::from(l.blocks))
-                    .sum(),
+                launches: sh.service.launch_totals().launches,
+                blocks: sh.service.launch_totals().blocks,
             })
             .collect()
     }

@@ -75,8 +75,9 @@
 //! Per-session reports carry the full time-phase ledger
 //! (`phase_sum() == elapsed`, now including `queue`) and launch counts;
 //! the device-side counters (warp steps, occupancy) describe whole merged
-//! grids and are recorded per launch in [`SearchService::launches`]
-//! rather than split across sessions.
+//! grids, so they are not split across sessions.
+//! [`SearchService::launch_totals`] counts the launches and the sessions
+//! and blocks they packed.
 
 use crate::block_parallel::BlockEngine;
 use crate::config::{MctsConfig, SearchBudget};
@@ -136,15 +137,28 @@ pub struct CompletedSession<M> {
     pub report: SearchReport<M>,
 }
 
-/// One batched launch the service performed.
-#[derive(Clone, Copy, Debug)]
-pub struct LaunchRecord {
-    /// Sessions packed into the launch.
-    pub sessions: u32,
-    /// Total blocks of the merged grid.
-    pub blocks: u32,
-    /// Device-side elapsed time (overhead + execution + readback).
-    pub elapsed: SimTime,
+/// Running totals over the batched launches a service performed: fixed
+/// size, however long the service runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LaunchTotals {
+    /// Launches performed.
+    pub launches: u64,
+    /// Sessions packed into them, summed over launches.
+    pub sessions: u64,
+    /// The most sessions one launch packed.
+    pub max_sessions: u32,
+    /// Blocks of the merged grids, summed over launches.
+    pub blocks: u64,
+}
+
+impl LaunchTotals {
+    /// Counts one launch of `sessions` sessions over `blocks` blocks.
+    pub(crate) fn add(&mut self, sessions: u32, blocks: u32) {
+        self.launches += 1;
+        self.sessions += u64::from(sessions);
+        self.max_sessions = self.max_sessions.max(sessions);
+        self.blocks += u64::from(blocks);
+    }
 }
 
 struct Session<G: Game> {
@@ -378,9 +392,9 @@ impl<G: Game> SearchService<G> {
         self.active.iter().map(|s| s.engine.inflight()).sum()
     }
 
-    /// Every batched launch performed so far, in launch order.
-    pub fn launches(&self) -> &[LaunchRecord] {
-        self.launcher.records()
+    /// Totals over every batched launch performed so far.
+    pub fn launch_totals(&self) -> LaunchTotals {
+        self.launcher.totals()
     }
 }
 
@@ -444,11 +458,10 @@ mod tests {
         let done = svc.take_completed();
         assert_eq!(done.len(), 4);
         // Equal budgets ⇒ every round packs all four sessions.
-        assert_eq!(svc.launches().len(), 3);
-        for l in svc.launches() {
-            assert_eq!(l.sessions, 4);
-            assert_eq!(l.blocks, 4);
-        }
+        let totals = svc.launch_totals();
+        assert_eq!(totals.launches, 3);
+        assert_eq!((totals.sessions, totals.max_sessions), (12, 4));
+        assert_eq!(totals.blocks, 12);
         for c in &done {
             assert_eq!(c.report.iterations, 3);
             assert_eq!(c.report.simulations, 3 * 32);
@@ -646,7 +659,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].report.best_move, None);
         assert_eq!(done[0].report.simulations, 0);
-        assert!(svc.launches().is_empty());
+        assert_eq!(svc.launch_totals(), LaunchTotals::default());
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::CpuCostModel;
 use crate::gpu::{LaneOutcome, PlayoutKernel};
 use crate::searcher::{BudgetTracker, SearchReport};
-use crate::service::LaunchRecord;
+use crate::service::LaunchTotals;
 use crate::telemetry::PhaseBreakdown;
 use pmcts_games::Game;
 use pmcts_gpu_sim::{Device, KernelStats, LaunchConfig, WorkerPool};
@@ -303,10 +303,10 @@ pub(crate) struct Launcher {
     seed_step: u64,
     epoch: u64,
     launch_prep: SimTime,
-    /// `Some` for the service: one record per launch, and device counters
-    /// stay with the merged grid. `None` for a solo searcher: the lone
-    /// member's ledger folds the counters.
-    records: Option<Vec<LaunchRecord>>,
+    /// `Some` for the service: running totals over its launches, and
+    /// device counters stay with the merged grid. `None` for a solo
+    /// searcher: the lone member's ledger folds the counters.
+    totals: Option<LaunchTotals>,
 }
 
 impl Launcher {
@@ -319,13 +319,14 @@ impl Launcher {
             seed_step: LANE_SEED_STEP,
             epoch: 0,
             launch_prep: CpuCostModel::xeon_x5670().launch_prep,
-            records: Some(Vec::new()),
+            totals: Some(LaunchTotals::default()),
         }
     }
 
-    /// Every launch performed so far (empty for a solo launcher).
-    pub(crate) fn records(&self) -> &[LaunchRecord] {
-        self.records.as_deref().unwrap_or_default()
+    /// Totals over every launch performed so far (zero for a solo
+    /// launcher).
+    pub(crate) fn totals(&self) -> LaunchTotals {
+        self.totals.unwrap_or_default()
     }
 
     /// Launches one wave and runs the fault ladder (see the module docs):
@@ -365,12 +366,8 @@ impl Launcher {
             let mut stats = result.stats.clone();
             slow_down(&mut stats, &faults);
             elapsed = stats.elapsed();
-            if let Some(records) = &mut self.records {
-                records.push(LaunchRecord {
-                    sessions: wave.len() as u32,
-                    blocks,
-                    elapsed,
-                });
+            if let Some(totals) = &mut self.totals {
+                totals.add(wave.len() as u32, blocks);
             }
             for lat in &mut latency {
                 lat.upload += upload;
@@ -418,7 +415,7 @@ impl Launcher {
                 let lanes = m.request.blocks as usize * self.threads_per_block as usize;
                 let ledger = m.engine.ledger();
                 let voided = void_of(faults[i], &mut ledger.phases);
-                if self.records.is_none() {
+                if self.totals.is_none() {
                     ledger.phases.record_launch(&stats);
                 } else {
                     ledger.phases.kernel_launches += 1;
@@ -504,7 +501,7 @@ impl Solo {
             seed_step,
             epoch: 0,
             launch_prep: config.cpu_cost.launch_prep,
-            records: None,
+            totals: None,
         };
         Solo {
             rng: Xoshiro256pp::derive(config.seed, rng_salt ^ stream),

@@ -963,7 +963,7 @@ fn late_admitted_session_still_meets_deadline_under_full_batch() {
     let c = late_done.unwrap();
     // It really ran inside full batches (16 sessions per launch)...
     assert!(
-        svc.launches().iter().any(|l| l.sessions == 16),
+        svc.launch_totals().max_sessions == 16,
         "late session never shared a full batch"
     );
     // ...was neither starved nor overshot: it used most of its budget and

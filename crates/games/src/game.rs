@@ -6,7 +6,7 @@
 //! engines use bitboards small enough to pass by value, which is what makes
 //! tree nodes and simulated GPU thread state cheap.
 
-use pmcts_util::{ArrayVec, Rng64};
+use pmcts_util::{ArrayVec, Rng64, Xoshiro256pp};
 
 /// The player to move. `P1` moves first (Black in Reversi, X in Tic-Tac-Toe).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -183,17 +183,19 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
     /// drawing from `rngs[i]`, and returns the per-lane results.
     ///
     /// This is the batch entry point behind
-    /// [`LaneBatch`](crate::playout::LaneBatch). The default is the
-    /// interleaved scalar engine; games with bit-parallel kernels
-    /// (Reversi) override it to advance all lanes through straight-line
-    /// bitboard code. **Overrides must be bit-identical to `N` scalar
+    /// [`LaneBatch`](crate::playout::LaneBatch). The streams are the one
+    /// generator type `LaneBatch` holds, so an override may keep their
+    /// state in vector registers. The default is the interleaved scalar
+    /// engine; games with bit-parallel kernels (Reversi) override it to
+    /// advance all lanes through straight-line bitboard code. **Overrides
+    /// must be bit-identical to `N` scalar
     /// [`random_playout`](crate::playout::random_playout) calls** — same
     /// results, same per-lane RNG draw sequences, same ply counts — so
     /// lane batching never changes virtual-time results (DESIGN.md §15).
     #[inline]
-    fn lane_playouts<R: Rng64, const N: usize>(
+    fn lane_playouts<const N: usize>(
         roots: &[Self; N],
-        rngs: &mut [R; N],
+        rngs: &mut [Xoshiro256pp; N],
     ) -> [crate::playout::PlayoutResult; N] {
         crate::playout::interleaved_lane_playouts(roots, rngs)
     }

@@ -467,6 +467,166 @@ mod lanes_avx2 {
     }
 }
 
+/// AVX-512 kernels over 8 boards per `__m512i`, the building blocks of
+/// the whole-loop playout variant (`reversi::lanes`). Unlike the AVX2
+/// kernels they are `#[inline]`, not out of line: the one caller is itself
+/// an out-of-line `#[target_feature]` function, and its flood fills inline
+/// into it.
+///
+/// Each flood step `t |= shift(t) & opp` is one `vpternlogq` (immediate
+/// [`OR_AND`]). The file masks move from the shifted operand to the board
+/// it lands on: `(b & NOT_H_FILE) << 1 == (b << 1) & NOT_A_FILE`, and so on
+/// for every direction, so masking `opp` (or `own`, `empty`) once per
+/// kernel replaces one AND per step. Both sides are the same bits, so the
+/// outputs equal [`super::legal_moves_mask`] and [`super::flips_for_move`]
+/// exactly.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod lanes_avx512 {
+    use super::{NOT_A_FILE, NOT_H_FILE};
+    use core::arch::x86_64::{
+        __m512i, _mm512_and_si512, _mm512_loadu_si512, _mm512_mask_or_epi64, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512,
+        _mm512_ternarylogic_epi64, _mm512_test_epi64_mask,
+    };
+
+    /// `vpternlogq` immediate for `a | (b & c)`.
+    const OR_AND: i32 = 0xF8;
+    /// `vpternlogq` immediate for `!(a | b)` (the third operand is unused).
+    const NOR: i32 = 0x03;
+
+    /// Invokes `$dir!(|b| shift, m)` once per direction, in
+    /// [`super::DIRECTIONS`] order. `shift` is the bare lane shift and `m`
+    /// indexes the board masks a kernel builds: 0 for boards masked to
+    /// `NOT_A_FILE` (eastward shifts land there), 1 for `NOT_H_FILE`
+    /// (westward), 2 for unmasked (vertical).
+    macro_rules! for_each_direction {
+        ($dir:ident) => {
+            $dir!(|b| _mm512_slli_epi64(b, 1), 0); // E
+            $dir!(|b| _mm512_srli_epi64(b, 1), 1); // W
+            $dir!(|b| _mm512_slli_epi64(b, 8), 2); // S
+            $dir!(|b| _mm512_srli_epi64(b, 8), 2); // N
+            $dir!(|b| _mm512_slli_epi64(b, 9), 0); // SE
+            $dir!(|b| _mm512_slli_epi64(b, 7), 1); // SW
+            $dir!(|b| _mm512_srli_epi64(b, 7), 0); // NE
+            $dir!(|b| _mm512_srli_epi64(b, 9), 1); // NW
+        };
+    }
+
+    /// `b` masked for each class of [`for_each_direction!`].
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn by_file(b: __m512i) -> [__m512i; 3] {
+        [
+            _mm512_and_si512(b, _mm512_set1_epi64(NOT_A_FILE as i64)),
+            _mm512_and_si512(b, _mm512_set1_epi64(NOT_H_FILE as i64)),
+            b,
+        ]
+    }
+
+    /// [`super::legal_moves_mask`] over 8 boards.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(crate) fn movegen8(own: __m512i, opp: __m512i) -> __m512i {
+        let opp = by_file(opp);
+        let empty = by_file(_mm512_ternarylogic_epi64(own, opp[2], own, NOR));
+        let mut moves = _mm512_setzero_si512();
+        macro_rules! dir {
+            (|$b:ident| $sh:expr, $m:expr) => {{
+                let mut t = _mm512_and_si512(
+                    {
+                        let $b = own;
+                        $sh
+                    },
+                    opp[$m],
+                );
+                // 5 more steps cover the maximum run of 6 opponent discs.
+                for _ in 0..5 {
+                    t = _mm512_ternarylogic_epi64(
+                        t,
+                        {
+                            let $b = t;
+                            $sh
+                        },
+                        opp[$m],
+                        OR_AND,
+                    );
+                }
+                moves = _mm512_ternarylogic_epi64(
+                    moves,
+                    {
+                        let $b = t;
+                        $sh
+                    },
+                    empty[$m],
+                    OR_AND,
+                );
+            }};
+        }
+        for_each_direction!(dir);
+        moves
+    }
+
+    /// [`super::flips_for_move`] over 8 boards (`mv` holds the move bits).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(crate) fn flips8(own: __m512i, opp: __m512i, mv: __m512i) -> __m512i {
+        let own = by_file(own);
+        let opp = by_file(opp);
+        let mut flips = _mm512_setzero_si512();
+        macro_rules! dir {
+            (|$b:ident| $sh:expr, $m:expr) => {{
+                let mut t = _mm512_and_si512(
+                    {
+                        let $b = mv;
+                        $sh
+                    },
+                    opp[$m],
+                );
+                for _ in 0..5 {
+                    t = _mm512_ternarylogic_epi64(
+                        t,
+                        {
+                            let $b = t;
+                            $sh
+                        },
+                        opp[$m],
+                        OR_AND,
+                    );
+                }
+                // The run flips iff the square past its far end is ours.
+                let capped = _mm512_test_epi64_mask(
+                    {
+                        let $b = t;
+                        $sh
+                    },
+                    own[$m],
+                );
+                flips = _mm512_mask_or_epi64(flips, capped, flips, t);
+            }};
+        }
+        for_each_direction!(dir);
+        flips
+    }
+
+    /// Loads 8 lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(crate) fn load(a: &[u64; 8]) -> __m512i {
+        // SAFETY: `a` is 64 readable bytes; loadu has no alignment requirement.
+        unsafe { _mm512_loadu_si512(a.as_ptr().cast()) }
+    }
+
+    /// Stores 8 lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    pub(crate) fn store(v: __m512i) -> [u64; 8] {
+        let mut a = [0u64; 8];
+        // SAFETY: `a` is 64 writable bytes; storeu has no alignment requirement.
+        unsafe { _mm512_storeu_si512(a.as_mut_ptr().cast(), v) };
+        a
+    }
+}
+
 /// Scalar reference implementation of [`legal_moves_mask`].
 ///
 /// O(64 × 8 × 8) and obviously correct; the property tests pit the shift
@@ -638,35 +798,115 @@ mod tests {
         }
     }
 
+    /// One implementation of the 8-lane kernels: `(name, movegen, flips)`.
+    type LaneKernels = (
+        &'static str,
+        fn(&[u64; 8], &[u64; 8]) -> [u64; 8],
+        fn(&[u64; 8], &[u64; 8], &[u8; 8]) -> [u64; 8],
+    );
+
+    /// Every kernel variant this host can run, called directly rather than
+    /// through the dispatching entry points; prints the ones it skips.
+    fn lane_kernel_variants() -> Vec<LaneKernels> {
+        let mut variants: Vec<LaneKernels> = vec![(
+            "generic",
+            legal_moves_mask_lanes_generic::<8>,
+            flips_for_moves_lanes_generic::<8>,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                variants.push((
+                    "avx2",
+                    // SAFETY (both): AVX2 support was just checked.
+                    |own, opp| unsafe { lanes_avx2::legal_moves_mask_lanes(own, opp) },
+                    |own, opp, sq| unsafe { lanes_avx2::flips_for_moves_lanes(own, opp, sq) },
+                ));
+            } else {
+                println!("avx2 lane kernels: skipped (host lacks avx2)");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                #[target_feature(enable = "avx512f")]
+                fn movegen(own: &[u64; 8], opp: &[u64; 8]) -> [u64; 8] {
+                    use lanes_avx512::{load, store};
+                    store(lanes_avx512::movegen8(load(own), load(opp)))
+                }
+                #[target_feature(enable = "avx512f")]
+                fn flips(own: &[u64; 8], opp: &[u64; 8], sq: &[u8; 8]) -> [u64; 8] {
+                    use lanes_avx512::{load, store};
+                    let mv = sq.map(|s| 1u64 << s);
+                    store(lanes_avx512::flips8(load(own), load(opp), load(&mv)))
+                }
+                variants.push((
+                    "avx512",
+                    // SAFETY (both): AVX-512F support was just checked.
+                    |own, opp| unsafe { movegen(own, opp) },
+                    |own, opp, sq| unsafe { flips(own, opp, sq) },
+                ));
+            } else {
+                println!("avx512 lane kernels: skipped (host lacks avx512f)");
+            }
+        }
+        variants
+    }
+
     #[test]
     fn lanes_equal_scalar_on_random_boards() {
+        let variants = lane_kernel_variants();
+        println!(
+            "lane kernels tested: {:?}",
+            variants.iter().map(|v| v.0).collect::<Vec<_>>()
+        );
         let mut rng = SplitMix64::new(46);
-        for _ in 0..200 {
+        for _ in 0..500 {
             let mut own = [0u64; 8];
             let mut opp = [0u64; 8];
             for i in 0..8 {
                 (own[i], opp[i]) = random_board(&mut rng);
             }
-            let masks = legal_moves_mask_lanes(&own, &opp);
-            for i in 0..8 {
-                assert_eq!(masks[i], legal_moves_mask(own[i], opp[i]), "lane {i}");
-            }
-            // Pick one legal square per lane (skip lanes with no moves) and
-            // check the batched flip kernel against the scalar one.
-            let mut sq = [0u8; 8];
-            let mut live = [false; 8];
-            for i in 0..8 {
-                if masks[i] != 0 {
-                    sq[i] = select_bit(masks[i], masks[i].count_ones() - 1);
-                    live[i] = true;
+            let expect: [u64; 8] = std::array::from_fn(|i| legal_moves_mask(own[i], opp[i]));
+            // One legal square per lane; lanes without a move get an empty
+            // square (or 0), whose output is unspecified and unchecked.
+            let sq: [u8; 8] = std::array::from_fn(|i| match expect[i] {
+                0 => (!(own[i] | opp[i])).trailing_zeros().min(63) as u8,
+                m => select_bit(m, (rng.next_u64() % u64::from(m.count_ones())) as u32),
+            });
+            for (name, movegen, flips) in &variants {
+                assert_eq!(movegen(&own, &opp), expect, "{name} movegen");
+                let got = flips(&own, &opp, &sq);
+                for i in (0..8).filter(|&i| expect[i] != 0) {
+                    assert_eq!(
+                        got[i],
+                        flips_for_move(own[i], opp[i], sq[i]),
+                        "{name} flips, lane {i}"
+                    );
                 }
             }
-            let flips = flips_for_moves_lanes(&own, &opp, &sq);
-            for i in 0..8 {
-                if live[i] {
-                    assert_eq!(flips[i], flips_for_move(own[i], opp[i], sq[i]), "lane {i}");
-                }
+            // The dispatching entry points agree too.
+            assert_eq!(legal_moves_mask_lanes(&own, &opp), expect);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pdep_selects_like_select_bit() {
+        if !std::arch::is_x86_feature_detected!("bmi2") {
+            println!("pdep select: skipped (host lacks bmi2)");
+            return;
+        }
+        #[target_feature(enable = "bmi2")]
+        fn pdep_select(mask: u64, k: u32) -> u8 {
+            core::arch::x86_64::_pdep_u64(1 << k, mask).trailing_zeros() as u8
+        }
+        let mut rng = SplitMix64::new(47);
+        for _ in 0..10_000 {
+            let mask = rng.next_u64() & rng.next_u64();
+            if mask == 0 {
+                continue;
             }
+            let k = (rng.next_u64() % u64::from(mask.count_ones())) as u32;
+            // SAFETY: BMI2 support was just checked.
+            assert_eq!(unsafe { pdep_select(mask, k) }, select_bit(mask, k));
         }
     }
 

@@ -11,12 +11,13 @@
 //! `d4 = White, e4 = Black, d5 = Black, e5 = White`, Black to move.
 
 pub mod bitboard;
+mod lanes;
 pub mod notation;
 pub mod zobrist;
 
 use crate::game::{Game, MoveBuf, Outcome, Player};
 use crate::playout::PlayoutResult;
-use pmcts_util::Rng64;
+use pmcts_util::{Rng64, Xoshiro256pp};
 
 /// A Reversi move: a square index `0..64`, or [`ReversiMove::PASS`].
 ///
@@ -188,8 +189,9 @@ impl Game for Reversi {
     // size simulated-GPU thread state.
     const MAX_GAME_LENGTH: usize = 128;
 
-    // The bit-parallel `lane_playouts` below measures ~3x scalar at width
-    // 8 (see `games/benches/playout_lanes.rs`), so warps should batch.
+    // The bit-parallel `lane_playouts` below is a measured win: the
+    // `throughput` bin's in-run `playout_lanes_speedup_vs_scalar` (lanes-8
+    // over scalar playouts, gated >= 2.0), so warps should batch.
     const LANE_ENGINE: bool = true;
 
     fn initial() -> Self {
@@ -284,122 +286,15 @@ impl Game for Reversi {
         Some(ReversiMove(bitboard::select_bit(mask, k)))
     }
 
-    /// Bit-parallel lane playouts (DESIGN.md §15): every round computes the
-    /// legal-move masks for all `N` lanes back-to-back
-    /// ([`bitboard::legal_moves_mask_lanes`]), draws one move per live
-    /// lane, then computes all flip masks back-to-back
-    /// ([`bitboard::flips_for_moves_lanes`]) — the steady state is
-    /// straight-line u64 code with no per-lane branching. Pass and
-    /// terminal resolution fall back to scalar per lane (a handful of
-    /// plies per game).
-    ///
-    /// Bit-identical to `N` scalar playouts: each placement ply draws
-    /// exactly one `next_below(popcount(mask))` from that lane's stream and
-    /// picks the same ascending-order set bit; passes and terminals draw
-    /// nothing, exactly like [`Reversi::random_move_with`]. Lane state is
-    /// the raw bitboards only — the Zobrist accumulator is deliberately
-    /// not maintained, because [`PlayoutResult`] never observes it; that is
-    /// pure wall-clock profit with no effect on results.
-    #[allow(clippy::needless_range_loop)] // lane-indexed form mirrors the SIMD shape
-    fn lane_playouts<R: Rng64, const N: usize>(
+    /// Bit-parallel lane playouts (DESIGN.md §15), bit-identical to `N`
+    /// scalar playouts: the per-ply loop over the lane kernels, or at
+    /// `N = 8` on AVX-512 hosts the whole batch in one vector loop
+    /// (`reversi/lanes.rs`).
+    fn lane_playouts<const N: usize>(
         roots: &[Self; N],
-        rngs: &mut [R; N],
+        rngs: &mut [Xoshiro256pp; N],
     ) -> [PlayoutResult; N] {
-        // Lane state is mover-relative: `own`/`opp` always belong to the
-        // side to move, so applying a ply is swap-free bit arithmetic with
-        // no per-lane colour branching; `own_is_black` tracks the mapping
-        // back to absolute colours for terminal scoring.
-        let mut own = [0u64; N];
-        let mut opp = [0u64; N];
-        let mut own_is_black = [true; N];
-        for i in 0..N {
-            let (o, p) = roots[i].own_opp();
-            own[i] = o;
-            opp[i] = p;
-            own_is_black[i] = roots[i].to_move == Player::P1;
-        }
-        let mut plies = [0u32; N];
-        let mut results: [Option<PlayoutResult>; N] = [None; N];
-        let mut live = N;
-        while live > 0 {
-            // Finished lanes are included in the batched kernels — their
-            // outputs are unused garbage, which is cheaper than branching
-            // inside the bit-parallel code.
-            let masks = bitboard::legal_moves_mask_lanes(&own, &opp);
-            // One RNG draw per lane with placements; pass/terminal lanes
-            // resolve scalar (a rare tail: a few plies per game at most).
-            let mut sqs = [0u8; N];
-            let mut mover = [false; N];
-            let mut any_mover = false;
-            for i in 0..N {
-                if results[i].is_some() {
-                    continue;
-                }
-                if masks[i] != 0 {
-                    let k = rngs[i].next_below(masks[i].count_ones());
-                    sqs[i] = bitboard::select_bit(masks[i], k);
-                    mover[i] = true;
-                    any_mover = true;
-                } else if bitboard::legal_moves_mask(opp[i], own[i]) != 0 {
-                    // Forced pass: zero RNG draws, side swap, one ply —
-                    // exactly the scalar path.
-                    std::mem::swap(&mut own[i], &mut opp[i]);
-                    own_is_black[i] = !own_is_black[i];
-                    plies[i] += 1;
-                    assert!(
-                        plies[i] as usize <= Self::MAX_GAME_LENGTH,
-                        "{} playout exceeded MAX_GAME_LENGTH={}",
-                        Self::NAME,
-                        Self::MAX_GAME_LENGTH
-                    );
-                } else {
-                    // Terminal: decided by disc count.
-                    let (b, w) = if own_is_black[i] {
-                        (own[i].count_ones(), opp[i].count_ones())
-                    } else {
-                        (opp[i].count_ones(), own[i].count_ones())
-                    };
-                    let outcome = match b.cmp(&w) {
-                        std::cmp::Ordering::Greater => Outcome::Win(Player::P1),
-                        std::cmp::Ordering::Less => Outcome::Win(Player::P2),
-                        std::cmp::Ordering::Equal => Outcome::Draw,
-                    };
-                    results[i] = Some(PlayoutResult {
-                        outcome,
-                        plies: plies[i],
-                        final_score: b as i32 - w as i32,
-                    });
-                    live -= 1;
-                }
-            }
-            if !any_mover {
-                continue;
-            }
-            let flips = bitboard::flips_for_moves_lanes(&own, &opp, &sqs);
-            for i in 0..N {
-                if !mover[i] {
-                    continue;
-                }
-                let f = flips[i];
-                debug_assert_ne!(f, 0, "legal move flips nothing");
-                // Apply and hand the move to the other side in one step:
-                // the next mover's discs are the old opponent's minus the
-                // flips; the new opponent is the old mover plus flips and
-                // the placed disc.
-                let moved = own[i] | f | (1u64 << sqs[i]);
-                own[i] = opp[i] & !f;
-                opp[i] = moved;
-                own_is_black[i] = !own_is_black[i];
-                plies[i] += 1;
-                assert!(
-                    plies[i] as usize <= Self::MAX_GAME_LENGTH,
-                    "{} playout exceeded MAX_GAME_LENGTH={}",
-                    Self::NAME,
-                    Self::MAX_GAME_LENGTH
-                );
-            }
-        }
-        results.map(|r| r.expect("all lanes ran to completion"))
+        lanes::lane_playouts(roots, rngs)
     }
 }
 

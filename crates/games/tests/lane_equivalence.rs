@@ -11,7 +11,9 @@
 //! Covered engines: Reversi (bit-parallel `lane_playouts` override),
 //! Connect-4 / Tic-Tac-Toe / Hex (generic interleaved default), at lane
 //! widths 1, 4 and 8, from varied playout prefixes, including batches with
-//! terminal roots mixed in.
+//! terminal roots mixed in. Reversi runs the variant this host dispatches;
+//! the unit tests in `reversi/lanes.rs` and `reversi/bitboard.rs` run each
+//! variant directly.
 
 use pmcts_games::{
     interleaved_lane_playouts, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch, Player,

@@ -136,6 +136,25 @@ impl Xoshiro256pp {
         Self { s }
     }
 
+    /// Creates a generator with exactly the state words `s` (as returned
+    /// by [`state`](Self::state)), so a vectorized playout engine can hand
+    /// a lane's stream back to the scalar generator.
+    ///
+    /// # Panics
+    /// Panics on the all-zero state, the one state xoshiro forbids.
+    #[inline]
+    pub fn from_state(s: [u64; 4]) -> Self {
+        assert_ne!(s, [0; 4], "xoshiro256++ state must not be all zero");
+        Self { s }
+    }
+
+    /// The four state words, in the order [`from_state`](Self::from_state)
+    /// takes them.
+    #[inline]
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
     /// Advances the state by 2^128 steps: equivalent to 2^128 `next_u64`
     /// calls. Used to hand out guaranteed non-overlapping sub-sequences.
     pub fn jump(&mut self) {
@@ -230,6 +249,21 @@ mod tests {
         assert_eq!(a, b);
         let mut c = Xoshiro256pp::new(99);
         assert_ne!(a.next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn state_roundtrips_through_from_state() {
+        let mut a = Xoshiro256pp::new(17);
+        a.next_u64();
+        let mut b = Xoshiro256pp::from_state(a.state());
+        assert_eq!(a, b);
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be all zero")]
+    fn from_state_rejects_the_zero_state() {
+        Xoshiro256pp::from_state([0; 4]);
     }
 
     #[test]

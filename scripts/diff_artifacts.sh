@@ -9,9 +9,12 @@
 # the serve and fleet (`--sessions 64 --devices 4`) artifacts, the
 # frontier, the profile canonicalised with `check_bench.py --canon`
 # (wall-clock fields stripped), the Fig. 8 point and depth series (whole
-# hybrid and GPU-only games under a virtual time budget), and the Fig. 9
+# hybrid and GPU-only games under a virtual time budget), the Fig. 9
 # speed and point series (whole multi-GPU games, ranks merged by the
-# rank-ordered allreduce, under a virtual time budget). Prints one
+# rank-ordered allreduce, under a virtual time budget), the Fig. 5 speed
+# and host-share series (leaf- and block-parallel launches up to the
+# paper's full grid) and the Fig. 6 win ratios (block- and leaf-parallel
+# games against sequential search). Prints one
 # line per artifact and exits non-zero if any pair differs. An artifact
 # BASE does not produce is printed as `head-only` and not compared.
 set -euo pipefail
@@ -40,6 +43,8 @@ generate() {
     "$bin/profile" --quick --seed 7 --out "$out" >/dev/null 2>&1
     "$bin/fig8_hybrid" --quick --seed 7 --out "$out" >/dev/null 2>&1
     "$bin/fig9_multigpu" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    "$bin/fig5_speed" --quick --seed 7 --out "$out" >/dev/null 2>&1
+    "$bin/fig6_winratio" --quick --seed 7 --out "$out" >/dev/null 2>&1
     # Bases that still have tree parallelism emit a `tree_parallel` profile
     # record whose phase times depend on the OS scheduler; dropping it keeps
     # diffs against those bases meaningful.
@@ -54,7 +59,7 @@ generate "$work/base" "$work/out-base"
 generate "$root" "$work/out-head"
 
 status=0
-for f in fault_matrix.json fault_matrix_hex11.json fault_matrix_service.json serve.json fleet.json frontier.json profile.canon.json fig8_points.tsv fig8_depth.tsv fig9_speed.tsv fig9_points.tsv; do
+for f in fault_matrix.json fault_matrix_hex11.json fault_matrix_service.json serve.json fleet.json frontier.json profile.canon.json fig8_points.tsv fig8_depth.tsv fig9_speed.tsv fig9_points.tsv fig5_speed.tsv fig5_speed_phases.tsv fig6_winratio.tsv; do
     if [ ! -e "$work/out-base/$f" ]; then
         echo "head-only  $f"
     elif cmp -s "$work/out-base/$f" "$work/out-head/$f"; then
