@@ -12,11 +12,17 @@
 //!    summary record's `kernel_speedup_vs_lockstep` is the acceptance
 //!    number for the engine rewrite.
 //! 3. **Full searches** — wall-clock iterations/s and playouts/s for the
-//!    main schemes on fixed seeds. The `search` records also carry each
-//!    scheme's *virtual* simulations/second; the summary's
+//!    main schemes on fixed seeds, each the best of five passes of at
+//!    least 20 ms. The `search` records also carry each scheme's
+//!    *virtual* simulations/second; the summary's
 //!    `device_tree_speedup_vs_block_parallel` compares the device-resident
 //!    tree against block parallelism at the same grid and iteration
-//!    budget (gate: ≥ 1.5x, see `scripts/check_bench.py`).
+//!    budget (gate: ≥ 1.5x, see `scripts/check_bench.py`), and
+//!    `device_tree_wall_vs_block_parallel` their wall playouts/s (gate:
+//!    ≥ 0.3x). `root_parallel_lanes_speedup_vs_sequential` is eight
+//!    root-parallel trees on one worker, whose playouts run as lane
+//!    batches, against the sequential search on the same per-tree budget
+//!    (gate: ≥ 1.5x).
 //! 4. **Tree operations** — select/expand/backprop ops/s on a prebuilt
 //!    ~50k-node tree, measured on the original array-of-structs layout
 //!    (`AosSearchTree`, retained as a baseline) and the SoA `SearchTree`,
@@ -47,7 +53,8 @@ use pmcts_core::tree::SearchTree;
 use pmcts_gpu_sim::executor::{execute_kernel, execute_kernel_lockstep};
 use pmcts_gpu_sim::WorkerPool;
 use pmcts_util::{Rng64, Xoshiro256pp};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn secs(wall_ns: u64) -> f64 {
     wall_ns as f64 / 1e9
@@ -180,29 +187,58 @@ where
     (record, steps_per_sec)
 }
 
-/// Wall-clock of one full search, as iterations/s and playouts/s.
-/// Also returns the *virtual* simulations/second, so the summary can
-/// compare schemes in model time (the device-resident gate).
+/// Timed passes per `search` record; each pass lasts at least
+/// [`MIN_PASS`] of wall, and the record keeps the fastest.
+const SEARCH_PASSES: u32 = 5;
+const MIN_PASS: Duration = Duration::from_millis(20);
+
+/// Wall-clock of full searches, as iterations/s and playouts/s: the best
+/// of [`SEARCH_PASSES`] passes, each repeating the search on fresh
+/// searchers from `make` (identical work every time) until it has run for
+/// [`MIN_PASS`]. Also returns the wall playouts/s and the *virtual*
+/// simulations/second, so the summary can compare schemes on both clocks.
 fn bench_search(
     scheme: &str,
     budget: SearchBudget,
-    searcher: &mut dyn Searcher<Reversi>,
+    make: &dyn Fn() -> Box<dyn Searcher<Reversi>>,
     position: Reversi,
-) -> (JsonObject, f64) {
-    let start = Instant::now();
-    let report = searcher.search(position, budget);
-    let wall_ns = start.elapsed().as_nanos() as u64;
+) -> (JsonObject, f64, f64) {
+    let mut report = None;
+    let mut best: Option<(u64, u64)> = None; // (searches, wall_ns)
+    for _ in 0..SEARCH_PASSES {
+        let (mut searches, mut wall) = (0u64, Duration::ZERO);
+        while wall < MIN_PASS {
+            let mut searcher = make();
+            let start = Instant::now();
+            let r = searcher.search(position, budget);
+            wall += start.elapsed();
+            searches += 1;
+            report = Some(r);
+        }
+        let wall_ns = wall.as_nanos() as u64;
+        if best.is_none_or(|(n, ns)| rate(searches, wall_ns) > rate(n, ns)) {
+            best = Some((searches, wall_ns));
+        }
+    }
+    let report = report.expect("at least one search");
+    let (searches, wall_ns) = best.expect("at least one pass");
+    let wall_rate = rate(report.simulations * searches, wall_ns);
     let virtual_rate = report.sims_per_second();
     let record = JsonObject::new()
         .str_field("record", "search")
         .str_field("scheme", scheme)
         .u64_field("iterations", report.iterations)
         .u64_field("simulations", report.simulations)
+        .u64_field("passes", u64::from(SEARCH_PASSES))
+        .u64_field("searches", searches)
         .u64_field("wall_ns", wall_ns)
-        .f64_field("iterations_per_sec", rate(report.iterations, wall_ns))
-        .f64_field("playouts_per_sec", rate(report.simulations, wall_ns))
+        .f64_field(
+            "iterations_per_sec",
+            rate(report.iterations * searches, wall_ns),
+        )
+        .f64_field("playouts_per_sec", wall_rate)
         .f64_field("virtual_sims_per_sec", virtual_rate);
-    (record, virtual_rate)
+    (record, wall_rate, virtual_rate)
 }
 
 const EXPLORATION_C: f64 = 1.4;
@@ -768,48 +804,76 @@ fn main() {
     let cfg = || MctsConfig::default().with_seed(args.seed);
     let device = Device::new(spec.clone()).with_host_threads(host_threads);
     let budget = SearchBudget::Iterations(search_iters);
-    records.push(
-        bench_search(
-            "sequential",
-            SearchBudget::Iterations(search_iters * 100),
-            &mut SequentialSearcher::<Reversi>::new(cfg()),
-            position,
-        )
-        .0,
+    // Sequential search against eight root-parallel trees on one worker,
+    // each tree on the sequential budget: the trees step in lockstep and
+    // play their playouts as lane batches, so the ratio is the lane
+    // engine's gain on whole searches (gate: >= 1.5x, enforced by
+    // check_bench.py).
+    let tree_budget = SearchBudget::Iterations(search_iters * 100);
+    let (rec, sequential_rate, _) = bench_search(
+        "sequential",
+        tree_budget,
+        &|| Box::new(SequentialSearcher::<Reversi>::new(cfg())),
+        position,
     );
-    records.push(
-        bench_search(
-            "root_parallel",
-            SearchBudget::Iterations(search_iters * 8),
-            &mut RootParallelSearcher::<Reversi>::new(cfg(), 8)
-                .with_pool(std::sync::Arc::new(WorkerPool::new(host_threads))),
-            position,
-        )
-        .0,
+    records.push(rec);
+    let one_worker = Arc::new(WorkerPool::new(1));
+    let (rec, root_parallel_rate, _) = bench_search(
+        "root_parallel",
+        tree_budget,
+        &|| {
+            Box::new(RootParallelSearcher::<Reversi>::with_stream_on(
+                cfg(),
+                8,
+                0,
+                Arc::clone(&one_worker),
+            ))
+        },
+        position,
     );
+    records.push(rec);
+    let root_parallel_speedup = root_parallel_rate / sequential_rate;
     records.push(
         bench_search(
             "leaf_parallel",
             budget,
-            &mut LeafParallelSearcher::<Reversi>::new(cfg(), device.clone(), launch),
+            &|| {
+                Box::new(LeafParallelSearcher::<Reversi>::new(
+                    cfg(),
+                    device.clone(),
+                    launch,
+                ))
+            },
             position,
         )
         .0,
     );
-    let (rec, block_virtual_rate) = bench_search(
+    let (rec, block_wall_rate, block_virtual_rate) = bench_search(
         "block_parallel",
         budget,
-        &mut BlockParallelSearcher::<Reversi>::new(cfg(), device.clone(), launch),
+        &|| {
+            Box::new(BlockParallelSearcher::<Reversi>::new(
+                cfg(),
+                device.clone(),
+                launch,
+            ))
+        },
         position,
     );
     records.push(rec);
     // Same grid, same iteration budget: the device-resident tree must beat
-    // block parallelism by ≥ 1.5x in virtual simulations/second (the PR's
-    // acceptance gate, enforced by check_bench.py).
-    let (rec, device_tree_virtual_rate) = bench_search(
+    // block parallelism by ≥ 1.5x in virtual simulations/second, and reach
+    // ≥ 0.3x its wall playouts/s (both enforced by check_bench.py).
+    let (rec, device_tree_wall_rate, device_tree_virtual_rate) = bench_search(
         "device_tree",
         budget,
-        &mut DeviceTreeSearcher::<Reversi>::new(cfg(), device.clone(), launch),
+        &|| {
+            Box::new(DeviceTreeSearcher::<Reversi>::new(
+                cfg(),
+                device.clone(),
+                launch,
+            ))
+        },
         position,
     );
     records.push(rec);
@@ -817,12 +881,19 @@ fn main() {
         bench_search(
             "hybrid",
             budget,
-            &mut HybridSearcher::<Reversi>::new(cfg(), device, launch),
+            &|| {
+                Box::new(HybridSearcher::<Reversi>::new(
+                    cfg(),
+                    device.clone(),
+                    launch,
+                ))
+            },
             position,
         )
         .0,
     );
     let device_tree_speedup = device_tree_virtual_rate / block_virtual_rate;
+    let device_tree_wall_ratio = device_tree_wall_rate / block_wall_rate;
 
     // Tree operations and host-phase loops, old layout vs SoA.
     let (tree_records, [sel_speedup, exp_speedup, bp_speedup]) =
@@ -886,7 +957,12 @@ fn main() {
         .f64_field("tree_ops_backprop_speedup_vs_aos", bp_speedup)
         .f64_field("bounded_steady_state_vs_unbounded", bounded_vs_unbounded)
         .f64_field("bounded_steady_window_ratio", bounded_window_ratio)
-        .f64_field("device_tree_speedup_vs_block_parallel", device_tree_speedup);
+        .f64_field("device_tree_speedup_vs_block_parallel", device_tree_speedup)
+        .f64_field("device_tree_wall_vs_block_parallel", device_tree_wall_ratio)
+        .f64_field(
+            "root_parallel_lanes_speedup_vs_sequential",
+            root_parallel_speedup,
+        );
     for &(scheme, speedup) in &host_phase_speedups {
         summary = summary.f64_field(&format!("host_phase_speedup_{scheme}"), speedup);
     }
@@ -907,8 +983,13 @@ fn main() {
          {bounded_vs_unbounded:.2}x vs unbounded"
     );
     eprintln!(
-        "device-resident tree: {device_tree_speedup:.2}x virtual sims/s \
-         vs block-parallel (same grid, same budget)"
+        "device-resident tree: {device_tree_speedup:.2}x virtual sims/s, \
+         {device_tree_wall_ratio:.2}x wall playouts/s vs block-parallel \
+         (same grid, same budget)"
+    );
+    eprintln!(
+        "root parallelism (8 trees, 1 worker): {root_parallel_speedup:.2}x \
+         wall playouts/s vs sequential"
     );
     for &(scheme, speedup) in &host_phase_speedups {
         eprintln!("host-phase speedup ({scheme}): {speedup:.2}x vs AoS");

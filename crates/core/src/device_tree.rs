@@ -20,11 +20,20 @@
 //! simulations — the same budget unit as
 //! [`BlockParallelSearcher`](crate::block_parallel::BlockParallelSearcher). The
 //! canonical order (rounds outer, lanes inner, sequential tree semantics)
-//! makes the result a pure function of the seed: blocks fan out over the
-//! worker pool, but every block's work is internally sequential and all
-//! folding happens in block order, so reports are bit-identical for any
-//! `--host-threads` (the oracle test below replays the same order on the
-//! host reference path).
+//! makes the result a pure function of the seed: groups of
+//! [`LANE_WIDTH`] blocks fan out over the worker pool, but every block's
+//! work is internally sequential and all folding happens in block order,
+//! so reports are bit-identical for any `--host-threads` (the oracle test
+//! below replays the same order on the host reference path, one scalar
+//! playout at a time).
+//!
+//! Within a group the blocks step in lockstep, the third caller of
+//! [`play_lanes`] after the playout kernel's warps and root-parallel
+//! trees: for each (round, lane) every live block selects and expands, in
+//! block order; lane `l` of all of them plays as one lane batch; then
+//! every block backprops, in block order. Lanes within a block stay
+//! sequential (lane `l + 1` selects on the tree lane `l` just updated);
+//! blocks share nothing, so only the wall clock sees the interleaving.
 //!
 //! Cost accounting lives in [`pmcts_gpu_sim::device_tree`]: warp
 //! divergence settles once over each lane's *summed* steps (a lane
@@ -43,11 +52,11 @@ use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::tree::SearchTree;
 use crate::wave::{slow_down, void_of, Solo, LANE_SEED_STEP};
-use pmcts_games::{random_playout, Game, Player};
+use pmcts_games::{play_lanes, Game, Player, PlayoutResult, LANE_WIDTH};
 use pmcts_gpu_sim::{
     Device, DeviceAllocator, DeviceTreeSpec, GpuFault, LaunchConfig, TreeLaunchTrace,
 };
-use pmcts_util::{Rng64, SimTime, Xoshiro256pp};
+use pmcts_util::{ArrayVec, Rng64, SimTime, Xoshiro256pp};
 
 /// Upper bound on rounds planned into a single persistent launch under a
 /// `VirtualTime` budget (keeps hang dry-runs and round cost distribution
@@ -124,6 +133,12 @@ impl<G: Game> DeviceTreeSearcher<G> {
         self.resident = None;
     }
 
+    /// The trees the last search left on the device, one per block
+    /// (`None` before the first search and after [`reset`](Self::reset)).
+    pub fn resident_trees(&self) -> Option<&[SearchTree<G>]> {
+        self.resident.as_deref()
+    }
+
     /// Re-roots the resident trees at `root` (falling back to cold trees
     /// where the position is not found) and mirrors each into a fresh
     /// device allocator adopting the compacted live prefix.
@@ -166,21 +181,17 @@ impl<G: Game> DeviceTreeSearcher<G> {
     }
 }
 
-/// One complete in-kernel MCTS iteration for one lane: UCB descent,
-/// expansion (pick drawn from the lane RNG), playout from the frontier,
-/// backprop into the resident tree. Records the lane's step counts —
-/// `depth+1` node reads for the descent, one allocator claim, `depth+1`
-/// updates for the backprop walk — and the playout plies.
-///
-/// This is the canonical iteration both the searcher and the oracle
-/// reference replay; its order (and nothing else) defines the result.
-fn lane_iteration<G: Game>(
+/// The first half of one lane's in-kernel MCTS iteration: UCB descent,
+/// then expansion with the pick drawn from the lane RNG. Returns the node
+/// to simulate and records the lane's `depth+1` node reads for the descent
+/// and its one allocator claim.
+fn descend<G: Game>(
     tree: &mut SearchTree<G>,
     rng: &mut Xoshiro256pp,
     exploration_c: f64,
     run: &mut BlockRun,
     lane: usize,
-) {
+) -> u32 {
     let sel = tree.select(exploration_c);
     let sel_depth = tree.depth(sel) as u64;
     let untried = tree.untried_len(sel);
@@ -200,19 +211,108 @@ fn lane_iteration<G: Game>(
     } else {
         sel
     };
+    run.per_lane[lane].0 += sel_depth + 1 + 1;
+    node
+}
+
+/// The second half: backprop of the lane's playout from `node` into the
+/// resident tree. Records the `depth+1` updates of the backprop walk and
+/// the playout plies.
+fn land<G: Game>(
+    tree: &mut SearchTree<G>,
+    node: u32,
+    playout: PlayoutResult,
+    run: &mut BlockRun,
+    lane: usize,
+) {
     let node_depth = tree.depth(node) as u64;
-    let playout = random_playout(*tree.state(node), rng);
     tree.backprop(node, playout.reward_for(Player::P1), 1);
     let cell = &mut run.per_lane[lane];
-    cell.0 += sel_depth + 1 + 1 + node_depth + 1;
+    cell.0 += node_depth + 1;
     cell.1 += (playout.plies as u64).max(1);
     run.sims += 1;
 }
 
+/// One complete in-kernel MCTS iteration for one lane, with a scalar
+/// playout: the canonical iteration whose order (and nothing else) defines
+/// the result. The searcher interleaves the blocks of a pool task around
+/// lane batches; the oracle test replays this one lane at a time.
+#[cfg(test)]
+fn lane_iteration<G: Game>(
+    tree: &mut SearchTree<G>,
+    rng: &mut Xoshiro256pp,
+    exploration_c: f64,
+    run: &mut BlockRun,
+    lane: usize,
+) {
+    let node = descend(tree, rng, exploration_c, run, lane);
+    let playout = pmcts_games::random_playout(*tree.state(node), rng);
+    land(tree, node, playout, run, lane);
+}
+
+/// Runs `rounds` rounds of the persistent kernel over the blocks of one
+/// pool task, block `first` onwards, except the `voided` one. For each
+/// (round, lane) every live block descends, in block order; lane `l` of
+/// all of them plays as one [`play_lanes`] call; then every block lands,
+/// in block order. Blocks share nothing, and each lane stream draws its
+/// expansion pick and then its playout, so every block sees exactly the
+/// rounds-outer, lanes-inner order of [`lane_iteration`].
+fn run_group<G: Game>(
+    trees: &mut [SearchTree<G>],
+    first: usize,
+    tpb: usize,
+    rounds: u64,
+    seed: u64,
+    exploration_c: f64,
+    voided: Option<usize>,
+) -> Vec<BlockRun> {
+    let mut runs: Vec<BlockRun> = trees
+        .iter()
+        .map(|_| BlockRun {
+            per_lane: vec![(0, 0); tpb],
+            ..BlockRun::default()
+        })
+        .collect();
+    let live: ArrayVec<usize, LANE_WIDTH> = (0..trees.len())
+        .filter(|&k| Some(first + k) != voided)
+        .collect();
+    // Lane RNGs derive exactly like the playout kernel's: one stream per
+    // global thread id, fresh per launch. Block `k`'s lane `l` sits at
+    // `k * tpb + l`.
+    let mut rngs: Vec<Xoshiro256pp> = (0..trees.len() * tpb)
+        .map(|i| Xoshiro256pp::derive(seed, (first * tpb + i) as u64))
+        .collect();
+    let mut nodes = [0u32; LANE_WIDTH];
+    let mut landed: [Option<(PlayoutResult, Xoshiro256pp)>; LANE_WIDTH] =
+        std::array::from_fn(|_| None);
+    for _ in 0..rounds {
+        for l in 0..tpb {
+            for &k in &live {
+                let rng = &mut rngs[k * tpb + l];
+                nodes[k] = descend(&mut trees[k], rng, exploration_c, &mut runs[k], l);
+            }
+            play_lanes(
+                live.len(),
+                |i| {
+                    let k = live[i];
+                    (*trees[k].state(nodes[k]), rngs[k * tpb + l].clone())
+                },
+                |i, result, rng| landed[i] = Some((result, rng)),
+            );
+            for (i, &k) in live.iter().enumerate() {
+                let (result, rng) = landed[i].take().expect("every live block landed");
+                rngs[k * tpb + l] = rng;
+                land(&mut trees[k], nodes[k], result, &mut runs[k], l);
+            }
+        }
+    }
+    runs
+}
+
 /// Runs `rounds` rounds of the persistent kernel over every block's tree
-/// (blocks fan out over the pool; each block is internally sequential:
-/// rounds outer, lanes inner). Folds traces, allocator mirroring and
-/// counters in block order, prices the launch, and returns
+/// (groups of [`LANE_WIDTH`] blocks fan out over the pool; see
+/// [`run_group`]). Folds traces, allocator mirroring and counters in
+/// block order, prices the launch, and returns
 /// `(stats, simulations, expansions)`.
 #[allow(clippy::too_many_arguments)]
 fn run_rounds<G: Game>(
@@ -227,31 +327,23 @@ fn run_rounds<G: Game>(
 ) -> (pmcts_gpu_sim::KernelStats, u64, u64) {
     let tpb = launch.threads_per_block as usize;
     let tree_spec = DeviceTreeSpec::c2050_resident();
-    let runs: Vec<BlockRun> = device.worker_pool().map_indexed(trees, |b, tree| {
-        let mut run = BlockRun {
-            per_lane: vec![(0, 0); tpb],
-            ..BlockRun::default()
-        };
-        if Some(b) == voided {
-            return run;
-        }
-        // Lane RNGs derive exactly like the playout kernel's: one stream
-        // per global thread id, fresh per launch.
-        let mut rngs: Vec<Xoshiro256pp> = (0..tpb)
-            .map(|l| Xoshiro256pp::derive(seed, (b * tpb + l) as u64))
-            .collect();
-        for _ in 0..rounds {
-            for (l, rng) in rngs.iter_mut().enumerate() {
-                lane_iteration(tree, rng, exploration_c, &mut run, l);
-            }
-        }
-        run
+    let mut groups: Vec<&mut [SearchTree<G>]> = trees.chunks_mut(LANE_WIDTH).collect();
+    let runs = device.worker_pool().map_indexed(&mut groups, |g, group| {
+        run_group(
+            group,
+            g * LANE_WIDTH,
+            tpb,
+            rounds,
+            seed,
+            exploration_c,
+            voided,
+        )
     });
 
     let mut sims = 0u64;
     let mut expansions = 0u64;
-    let mut lanes = Vec::with_capacity(runs.len());
-    for (b, run) in runs.into_iter().enumerate() {
+    let mut lanes = Vec::with_capacity(trees.len());
+    for (b, run) in runs.into_iter().flatten().enumerate() {
         for &slot in &run.fresh {
             assert!(
                 allocs[b].claim(slot),

@@ -11,7 +11,7 @@
 //! ("the results are written to an array in the GPU's memory (0 = loss,
 //! 1 = victory)") generalised to carry draws.
 
-use pmcts_games::{random_playout, Game, LaneBatch, Outcome, Player};
+use pmcts_games::{play_lanes, Game, Outcome, Player};
 use pmcts_gpu_sim::{Kernel, ThreadId};
 use pmcts_util::Xoshiro256pp;
 
@@ -79,19 +79,13 @@ impl<G: Game> PlayoutKernel<G> {
         (self.roots.len() * G::device_state_bytes()) as u64
     }
 
-    /// Runs `N` lanes as one [`LaneBatch`], with per-lane roots and RNG
-    /// streams derived exactly as [`Kernel::init`] derives them — so the
-    /// batch is bit-identical to `N` scalar `run_lane` calls.
-    fn run_lane_batch<const N: usize>(&self, tids: &[ThreadId], out: &mut Vec<(LaneOutcome, u64)>) {
-        debug_assert_eq!(tids.len(), N);
-        let roots: [G; N] =
-            std::array::from_fn(|i| self.roots[tids[i].block as usize % self.roots.len()]);
-        let rngs: [Xoshiro256pp; N] =
-            std::array::from_fn(|i| Xoshiro256pp::derive(self.stream_seed, tids[i].global as u64));
-        for result in LaneBatch::new(roots, rngs).run() {
-            let steps = (result.plies as u64).max(1);
-            out.push((LaneOutcome::from_outcome(result.outcome), steps));
-        }
+    /// Lane `tid`'s starting position and RNG stream: one stream per
+    /// global thread id, fresh per launch.
+    fn lane(&self, tid: ThreadId) -> (G, Xoshiro256pp) {
+        (
+            self.roots[tid.block as usize % self.roots.len()],
+            Xoshiro256pp::derive(self.stream_seed, tid.global as u64),
+        )
     }
 }
 
@@ -100,9 +94,10 @@ impl<G: Game> Kernel for PlayoutKernel<G> {
     type Output = LaneOutcome;
 
     fn init(&self, tid: ThreadId) -> LaneState<G> {
+        let (state, rng) = self.lane(tid);
         LaneState {
-            state: self.roots[tid.block as usize % self.roots.len()],
-            rng: Xoshiro256pp::derive(self.stream_seed, tid.global as u64),
+            state,
+            rng,
             finished: None,
         }
     }
@@ -136,50 +131,24 @@ impl<G: Game> Kernel for PlayoutKernel<G> {
         1
     }
 
-    /// Fused lane: one allocation-free [`random_playout`] instead of the
-    /// `init`/`step` state machine, drawing the identical RNG sequence.
-    ///
-    /// Step equivalence (checked against the lockstep oracle by the
-    /// equivalence suite): each `step` call applies exactly one ply and the
-    /// call that applies the final ply reports completion, so a playout of
-    /// `p ≥ 1` plies takes `p` steps; a terminal root takes the single
-    /// entry-check step.
-    fn run_lane(&self, tid: ThreadId) -> (LaneOutcome, u64) {
-        let root = self.roots[tid.block as usize % self.roots.len()];
-        let mut rng = Xoshiro256pp::derive(self.stream_seed, tid.global as u64);
-        let result = random_playout(root, &mut rng);
-        let steps = (result.plies as u64).max(1);
-        (LaneOutcome::from_outcome(result.outcome), steps)
-    }
-
-    /// Batched lanes: whenever ≥ 4 playouts share a warp — and the game's
-    /// lane engine is a measured win ([`Game::LANE_ENGINE`]) — advance
-    /// them as a [`LaneBatch`] (8-wide chunks, then a 4-wide chunk, scalar
-    /// remainder) so the bit-parallel hot loop runs. A pure wall-clock
-    /// optimisation: every lane keeps its own derived RNG stream and step
-    /// count, so outputs are bit-identical to the scalar
-    /// [`run_lane`](Kernel::run_lane) path the lockstep oracle checks.
+    /// Fused lanes: a warp's playouts through [`play_lanes`] (allocation
+    /// free, batched when the game's lane engine is a measured win,
+    /// [`Game::LANE_ENGINE`]) instead of the `init`/`step` state machine.
+    /// Every lane keeps its own derived RNG stream and draws the identical
+    /// sequence, so outputs and step counts are bit-identical to the state
+    /// machine the lockstep oracle runs: each `step` call applies exactly
+    /// one ply and the call that applies the final ply reports completion,
+    /// so a playout of `p ≥ 1` plies takes `p` steps, and a terminal root
+    /// takes the single entry-check step.
     fn run_lanes(&self, tids: &[ThreadId], out: &mut Vec<(LaneOutcome, u64)>) {
-        if !G::LANE_ENGINE {
-            for &tid in tids {
-                out.push(self.run_lane(tid));
-            }
-            return;
-        }
-        let mut rest = tids;
-        while rest.len() >= 8 {
-            let (chunk, tail) = rest.split_at(8);
-            self.run_lane_batch::<8>(chunk, out);
-            rest = tail;
-        }
-        if rest.len() >= 4 {
-            let (chunk, tail) = rest.split_at(4);
-            self.run_lane_batch::<4>(chunk, out);
-            rest = tail;
-        }
-        for &tid in rest {
-            out.push(self.run_lane(tid));
-        }
+        play_lanes(
+            tids.len(),
+            |i| self.lane(tids[i]),
+            |_, result, _| {
+                let steps = (result.plies as u64).max(1);
+                out.push((LaneOutcome::from_outcome(result.outcome), steps));
+            },
+        );
     }
 }
 

@@ -11,6 +11,17 @@
 //! Budget semantics are wall-clock-like: every thread receives the full
 //! virtual budget, because the real threads run concurrently.
 //!
+//! The trees fan out over the worker pool in groups of [`LANE_WIDTH`],
+//! and each group steps its live trees in lockstep
+//! (`SequentialSearcher::search_lockstep`): every tree whose own budget
+//! still runs selects and expands, their playouts play as one
+//! [`play_lanes`](pmcts_games::play_lanes) call — as the playout kernel's
+//! warps and the device-resident blocks do — and each tree backprops and
+//! charges its own budget. Each stream keeps its draw order (expansion
+//! pick, then playout), so every tree's report equals its solo sequential
+//! search; `MultiNodeCpuSearcher` ranks, being root-parallel searches,
+//! step the same way.
+//!
 //! The paper combines parallel trees by one rule — "the root node has to be
 //! updated by summing up results from all other trees" (§II.4) — on CPU
 //! threads here and across MPI ranks in Fig. 9. The rule is written once,
@@ -26,7 +37,7 @@ use crate::searcher::{empty_report, overshoot_of, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
 use crate::telemetry::{critical_index, PhaseBreakdown};
 use crate::tree::{best_from_stats, merge_root_stats, RootStat};
-use pmcts_games::Game;
+use pmcts_games::{Game, LANE_WIDTH};
 use pmcts_gpu_sim::WorkerPool;
 use pmcts_util::{FaultCounters, SimTime};
 use std::sync::Arc;
@@ -106,25 +117,48 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
         let base = self.stream_base;
 
         // Each tree is an independent sequential search with its own RNG
-        // stream; trees are distributed over the persistent worker pool and
-        // merged at the end (no communication — exactly the paper's
-        // scheme). Results are keyed by tree index, so merge order — and
-        // hence the report — is identical for any pool size.
+        // stream, merged at the end (no communication — exactly the paper's
+        // scheme). Groups of `LANE_WIDTH` consecutive trees fan out over the
+        // persistent worker pool, and each group steps its live trees in
+        // lockstep so their playouts run as lane batches; every tree's
+        // report still equals its solo search. Results are keyed by tree
+        // index, so merge order — and hence the report — is identical for
+        // any pool size.
         // Dead-tree faults are keyed per (stream base, generation), so each
         // search draws a fresh schedule; tree 0 is never dead, so a merge
-        // survivor always exists.
+        // survivor always exists. Dead trees never join their group.
         let plan = config.faults;
         let fault_key = base ^ gen.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut slots: Vec<()> = vec![(); self.threads];
-        let reports: Vec<SearchReport<G::Move>> = self.pool.map_indexed(&mut slots, |i, ()| {
-            if plan.component_dead(fault_key, i as u64) {
-                return empty_report();
-            }
-            let stream = base
-                .wrapping_add(i as u64)
-                .wrapping_add(gen.wrapping_mul(0x1000 * 31));
-            SequentialSearcher::<G>::with_stream(config.clone(), stream).search(root, budget)
+        let dead = |i: usize| plan.component_dead(fault_key, i as u64);
+        let mut groups: Vec<std::ops::Range<usize>> = (0..self.threads)
+            .step_by(LANE_WIDTH)
+            .map(|first| first..(first + LANE_WIDTH).min(self.threads))
+            .collect();
+        let grouped = self.pool.map_indexed(&mut groups, |_, trees| {
+            let mut searchers: Vec<SequentialSearcher<G>> = trees
+                .clone()
+                .filter(|&i| !dead(i))
+                .map(|i| {
+                    let stream = base
+                        .wrapping_add(i as u64)
+                        .wrapping_add(gen.wrapping_mul(0x1000 * 31));
+                    SequentialSearcher::with_stream(config.clone(), stream)
+                })
+                .collect();
+            let mut live =
+                SequentialSearcher::search_lockstep(&mut searchers, root, budget).into_iter();
+            trees
+                .clone()
+                .map(|i| {
+                    if dead(i) {
+                        empty_report()
+                    } else {
+                        live.next().expect("one report per live tree")
+                    }
+                })
+                .collect::<Vec<_>>()
         });
+        let reports: Vec<SearchReport<G::Move>> = grouped.into_iter().flatten().collect();
 
         let merged = merge_root_stats(
             &reports
@@ -133,9 +167,7 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
                 .collect::<Vec<_>>(),
         );
         // Count dead trees by re-querying the pure plan (no search state).
-        let dead = (0..self.threads as u64)
-            .filter(|&i| plan.component_dead(fault_key, i))
-            .count() as u64;
+        let dead = (0..self.threads).filter(|&i| dead(i)).count() as u64;
         let faults = FaultCounters {
             injected: dead,
             excluded: dead,

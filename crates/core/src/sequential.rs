@@ -9,8 +9,8 @@ use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
 use crate::telemetry::PhaseBreakdown;
 use crate::tree::SearchTree;
-use pmcts_games::{random_playout, Game, Player};
-use pmcts_util::Xoshiro256pp;
+use pmcts_games::{play_lanes, random_playout, Game, Player, PlayoutResult, LANE_WIDTH};
+use pmcts_util::{ArrayVec, Xoshiro256pp};
 
 /// Single-threaded UCT searcher.
 #[derive(Clone, Debug)]
@@ -55,25 +55,11 @@ impl<G: Game> SequentialSearcher<G> {
         root: G,
         budget: SearchBudget,
     ) -> (SearchReport<G::Move>, SearchTree<G>) {
-        let mut tree = SearchTree::for_config(root, &self.config);
-        let mut tracker = BudgetTracker::new(budget);
-        let mut phases = PhaseBreakdown::new();
-        let mut simulations = 0u64;
-        if !tree.is_terminal(tree.root()) {
-            simulations = self.run_on_tree(&mut tree, &mut tracker, &mut phases);
+        let mut walk = Walk::new(root, &self.config, budget);
+        if !walk.tree.is_terminal(walk.tree.root()) {
+            self.run_on_tree(&mut walk.tree, &mut walk.tracker, &mut walk.phases);
         }
-        phases.budget_overshoot = tracker.overshoot();
-        let report = SearchReport {
-            best_move: tree.best_move(self.config.final_move),
-            simulations,
-            iterations: tracker.iterations,
-            tree_nodes: tree.live_nodes() as u64,
-            max_depth: tree.max_depth(),
-            elapsed: tracker.elapsed,
-            root_stats: tree.root_stats(),
-            phases,
-        };
-        (report, tree)
+        walk.finish(&self.config)
     }
 
     /// Runs the search while keeping the tree available to the caller —
@@ -102,17 +88,135 @@ impl<G: Game> SequentialSearcher<G> {
         tracker: &mut BudgetTracker,
         phases: &mut PhaseBreakdown,
     ) -> u64 {
-        let cost = self.config.cpu_cost;
-        let node = select_and_expand(tree, self.config.exploration_c, &mut self.rng, phases);
-        let depth = tree.depth(node);
+        let node = self.descend(tree, phases);
         let result = random_playout(*tree.state(node), &mut self.rng);
+        self.land(tree, node, result, tracker, phases);
+        1
+    }
+
+    /// The first half of an iteration: selection and (at most) one
+    /// expansion on this searcher's stream. Returns the node to simulate.
+    fn descend(&mut self, tree: &mut SearchTree<G>, phases: &mut PhaseBreakdown) -> u32 {
+        select_and_expand(tree, self.config.exploration_c, &mut self.rng, phases)
+    }
+
+    /// The second half, once the playout from `node` has run: backprop
+    /// and the iteration's charge.
+    fn land(
+        &self,
+        tree: &mut SearchTree<G>,
+        node: u32,
+        result: PlayoutResult,
+        tracker: &mut BudgetTracker,
+        phases: &mut PhaseBreakdown,
+    ) {
+        let cost = self.config.cpu_cost;
+        let depth = tree.depth(node);
         tree.backprop(node, result.reward_for(Player::P1), 1);
         phases.select += cost.select_cost(depth);
         phases.expand += cost.expand_cost();
         phases.kernel += cost.playout(result.plies);
         phases.simulations += 1;
         tracker.charge(cost.tree_op(depth) + cost.playout(result.plies));
-        1
+    }
+
+    /// Searches `root` once per searcher (at most [`LANE_WIDTH`]), stepping
+    /// the trees in lockstep. Each step, every tree whose budget still runs
+    /// descends, in searcher order; their playouts play as one
+    /// [`play_lanes`] call; then each lands, in searcher order. A tree
+    /// leaves the group when its own budget stops. Trees share nothing and
+    /// each stream draws its expansion pick and then its playout, so every
+    /// report equals that searcher's solo [`search`](Searcher::search).
+    pub(crate) fn search_lockstep(
+        searchers: &mut [Self],
+        root: G,
+        budget: SearchBudget,
+    ) -> Vec<SearchReport<G::Move>> {
+        assert!(searchers.len() <= LANE_WIDTH, "one lane per tree");
+        let mut walks: Vec<Walk<G>> = searchers
+            .iter()
+            .map(|s| Walk::new(root, &s.config, budget))
+            .collect();
+        let mut active: ArrayVec<usize, LANE_WIDTH> = if root.is_terminal() {
+            ArrayVec::new()
+        } else {
+            (0..walks.len()).collect()
+        };
+        let mut nodes = [0u32; LANE_WIDTH];
+        let mut landed: [Option<(PlayoutResult, Xoshiro256pp)>; LANE_WIDTH] =
+            std::array::from_fn(|_| None);
+        loop {
+            active = active
+                .iter()
+                .copied()
+                .filter(|&k| walks[k].tracker.may_continue())
+                .collect();
+            if active.is_empty() {
+                break;
+            }
+            for (i, &k) in active.iter().enumerate() {
+                let walk = &mut walks[k];
+                nodes[i] = searchers[k].descend(&mut walk.tree, &mut walk.phases);
+            }
+            play_lanes(
+                active.len(),
+                |i| {
+                    let k = active[i];
+                    (*walks[k].tree.state(nodes[i]), searchers[k].rng.clone())
+                },
+                |i, result, rng| landed[i] = Some((result, rng)),
+            );
+            for (i, &k) in active.iter().enumerate() {
+                let (result, rng) = landed[i].take().expect("every active tree landed");
+                let (searcher, walk) = (&mut searchers[k], &mut walks[k]);
+                searcher.rng = rng;
+                searcher.land(
+                    &mut walk.tree,
+                    nodes[i],
+                    result,
+                    &mut walk.tracker,
+                    &mut walk.phases,
+                );
+            }
+        }
+        walks
+            .into_iter()
+            .zip(searchers.iter())
+            .map(|(w, s)| w.finish(&s.config).0)
+            .collect()
+    }
+}
+
+/// One sequential search in progress: its tree, budget and ledger.
+struct Walk<G: Game> {
+    tree: SearchTree<G>,
+    tracker: BudgetTracker,
+    phases: PhaseBreakdown,
+}
+
+impl<G: Game> Walk<G> {
+    fn new(root: G, config: &MctsConfig, budget: SearchBudget) -> Self {
+        Walk {
+            tree: SearchTree::for_config(root, config),
+            tracker: BudgetTracker::new(budget),
+            phases: PhaseBreakdown::new(),
+        }
+    }
+
+    /// The search's report, and its tree.
+    fn finish(mut self, config: &MctsConfig) -> (SearchReport<G::Move>, SearchTree<G>) {
+        self.phases.budget_overshoot = self.tracker.overshoot();
+        let report = SearchReport {
+            best_move: self.tree.best_move(config.final_move),
+            simulations: self.phases.simulations,
+            iterations: self.tracker.iterations,
+            tree_nodes: self.tree.live_nodes() as u64,
+            max_depth: self.tree.max_depth(),
+            elapsed: self.tracker.elapsed,
+            root_stats: self.tree.root_stats(),
+            phases: self.phases,
+        };
+        (report, self.tree)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Two independent guarantees (CLAUDE.md invariants):
 //!
-//! 1. The playout kernel's fused [`run_lane`](pmcts_gpu_sim::Kernel) path
+//! 1. The playout kernel's fused [`run_lanes`](pmcts_gpu_sim::Kernel) path
 //!    (what the run-to-completion engine executes) is bit-identical —
 //!    outputs *and* full `KernelStats` — to the per-step masked lockstep
 //!    interpreter retained as the oracle.
@@ -24,7 +24,7 @@ fn cfg(seed: u64) -> MctsConfig {
     MctsConfig::default().with_seed(seed)
 }
 
-// ---- 1. PlayoutKernel: fused run_lane vs lockstep oracle ----------------
+// ---- 1. PlayoutKernel: fused run_lanes vs lockstep oracle ---------------
 
 /// Launches `kernel` through the fast engine (via `Device`) and through
 /// the lockstep oracle and asserts byte-identical results.
@@ -114,9 +114,9 @@ fn leaf_parallel_identical_across_host_threads() {
 #[test]
 fn leaf_parallel_lane_chunks_identical_across_host_threads() {
     // threads_per_block = 38 splits each block into a full 32-lane warp
-    // (four 8-wide LaneBatch chunks) and a 6-lane partial warp (one 4-wide
-    // chunk plus two scalar lanes), so one launch exercises every branch
-    // of the chunked `run_lanes` dispatch. The report must be identical
+    // (four 8-wide LaneBatch chunks) and a 6-lane partial warp (one 8-wide
+    // chunk padded with two copies of its first lane), so one launch
+    // exercises both kinds of `play_lanes` batch. The report must be identical
     // across host threads *and* pinned bit-for-bit: lane batching is a
     // wall-clock fast path that virtual time never observes, so this
     // fingerprint must survive any future lane-engine change.

@@ -87,10 +87,14 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
     const MAX_GAME_LENGTH: usize;
 
     /// Whether [`lane_playouts`](Game::lane_playouts) is a measured
-    /// wall-clock win over scalar playouts for this game. The playout
-    /// kernel only routes warps through lane batches when this is set;
-    /// games on the generic interleaved engine keep the scalar path (the
-    /// round-robin bookkeeping costs more than its ILP buys there).
+    /// wall-clock win over scalar playouts for this game.
+    /// [`play_lanes`](crate::playout::play_lanes) only batches lanes when
+    /// this is set, and its three callers route through it: the playout
+    /// kernel's warps, the device-resident blocks of one pool task and a
+    /// group of root-parallel trees. Games on the generic interleaved
+    /// engine keep the scalar path (the round-robin bookkeeping costs more
+    /// than its ILP buys there). Both paths are bit-identical, so the flag
+    /// is pure routing.
     const LANE_ENGINE: bool = false;
 
     /// The initial position.

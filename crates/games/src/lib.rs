@@ -29,7 +29,9 @@ pub mod zobrist;
 pub use connect4::Connect4;
 pub use game::{Game, MoveBuf, Outcome, Player};
 pub use hex::{Hex, Hex11, Hex5, Hex7};
-pub use playout::{interleaved_lane_playouts, random_playout, LaneBatch, PlayoutResult};
+pub use playout::{
+    interleaved_lane_playouts, play_lanes, random_playout, LaneBatch, PlayoutResult, LANE_WIDTH,
+};
 pub use policy::{policy_playout, PlayoutPolicy, ReversiCornerPolicy, UniformPolicy};
 pub use reversi::{Reversi, ReversiMove};
 pub use tictactoe::TicTacToe;

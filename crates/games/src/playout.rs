@@ -77,6 +77,11 @@ pub fn random_playout<G: Game, R: Rng64>(mut state: G, rng: &mut R) -> PlayoutRe
 /// on `(roots[i], rngs[i])` — same [`PlayoutResult`]s *and* same final RNG
 /// states. Lane batching is invisible to everything above it: virtual
 /// time, fingerprints, and `SimTime` ledgers never observe it.
+///
+/// Searchers do not build batches themselves: [`play_lanes`] chunks any
+/// number of (root, stream) pairs into `LANE_WIDTH`-wide batches for its
+/// three callers — the playout kernel's warps, the device-resident blocks
+/// of one pool task and a group of root-parallel trees.
 #[derive(Clone, Debug)]
 pub struct LaneBatch<G: Game, const N: usize> {
     roots: [G; N],
@@ -101,6 +106,56 @@ impl<G: Game, const N: usize> LaneBatch<G, N> {
     pub fn run_with_rngs(mut self) -> ([PlayoutResult; N], [Xoshiro256pp; N]) {
         let results = G::lane_playouts(&self.roots, &mut self.rngs);
         (results, self.rngs)
+    }
+}
+
+/// Lanes per batch in [`play_lanes`], and so the number of
+/// independent trees its callers step together.
+pub const LANE_WIDTH: usize = 8;
+
+/// Plays one random playout for each of `lanes` (root, stream) pairs: lane
+/// `i` starts from `start(i)` and hands its result and final stream to
+/// `land(i, ..)`. Both closures run once per lane, in lane order, and
+/// `land(i, ..)` always follows `start(i)`.
+///
+/// This is the one place lanes are chunked into batches. When
+/// [`Game::LANE_ENGINE`] is set, the lanes run `LANE_WIDTH` at a time
+/// through [`Game::lane_playouts`], the engine behind [`LaneBatch`]; the
+/// last batch is padded with copies of its own first lane, whose results
+/// and streams are dropped. Otherwise each lane is one
+/// scalar [`random_playout`]. Either way the outcome is bit-identical to
+/// one scalar call per lane, final streams included (DESIGN.md §15). Its
+/// callers are the playout kernel's warps, the device-resident blocks of
+/// one pool task, and a group of root-parallel trees. Nothing is
+/// allocated.
+pub fn play_lanes<G: Game>(
+    lanes: usize,
+    mut start: impl FnMut(usize) -> (G, Xoshiro256pp),
+    mut land: impl FnMut(usize, PlayoutResult, Xoshiro256pp),
+) {
+    if !G::LANE_ENGINE {
+        for i in 0..lanes {
+            let (root, mut rng) = start(i);
+            let result = random_playout(root, &mut rng);
+            land(i, result, rng);
+        }
+        return;
+    }
+    for first in (0..lanes).step_by(LANE_WIDTH) {
+        let real = (lanes - first).min(LANE_WIDTH);
+        let (root, rng) = start(first);
+        let mut roots = [root; LANE_WIDTH];
+        let mut rngs: [Xoshiro256pp; LANE_WIDTH] = std::array::from_fn(|_| rng.clone());
+        for k in 1..real {
+            (roots[k], rngs[k]) = start(first + k);
+        }
+        // The batch runs in place: moving the arrays into a `LaneBatch` and
+        // the streams back out cost about 5 % of the playout kernel's wall
+        // time on a 2-vCPU AVX-512 host.
+        let results = G::lane_playouts(&roots, &mut rngs);
+        for k in 0..real {
+            land(first + k, results[k], rngs[k].clone());
+        }
     }
 }
 

@@ -11,13 +11,15 @@
 //! Covered engines: Reversi (bit-parallel `lane_playouts` override),
 //! Connect-4 / Tic-Tac-Toe / Hex (generic interleaved default), at lane
 //! widths 1, 4 and 8, from varied playout prefixes, including batches with
-//! terminal roots mixed in. Reversi runs the variant this host dispatches;
-//! the unit tests in `reversi/lanes.rs` and `reversi/bitboard.rs` run each
-//! variant directly.
+//! terminal roots mixed in. The [`play_lanes`] helper is held to the same
+//! contract at every lane count from 0 to 20, on Reversi (8-lane batches,
+//! the last one padded) and Hex 11×11 (scalar fallback). Reversi runs the
+//! variant this host dispatches; the unit tests in `reversi/lanes.rs` and
+//! `reversi/bitboard.rs` run each variant directly.
 
 use pmcts_games::{
-    interleaved_lane_playouts, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch, Player,
-    Reversi, TicTacToe,
+    interleaved_lane_playouts, play_lanes, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch,
+    Player, Reversi, TicTacToe,
 };
 use pmcts_util::Xoshiro256pp;
 use proptest::prelude::*;
@@ -153,3 +155,96 @@ fn all_terminal_batch_draws_nothing() {
         );
     }
 }
+
+/// Runs [`play_lanes`] over `(roots[i], Xoshiro256pp::new(seeds[i]))` and
+/// asserts the helper's contract: `start` and `land` run once per lane, in
+/// lane order, `land(i)` after `start(i)`, and every landed result and
+/// final stream equals one scalar [`random_playout`] on that lane's pair.
+fn assert_play_lanes_matches_scalar<G: Game>(roots: &[G], seeds: &[u64]) {
+    assert_eq!(roots.len(), seeds.len());
+    let n = roots.len();
+    let mut started = Vec::new();
+    let mut landed = Vec::new();
+    {
+        let started = std::cell::RefCell::new(&mut started);
+        play_lanes(
+            n,
+            |i| {
+                started.borrow_mut().push(i);
+                (roots[i], Xoshiro256pp::new(seeds[i]))
+            },
+            |i, result, rng| {
+                assert!(
+                    started.borrow().contains(&i),
+                    "{} lane {i}/{n} landed before it started",
+                    G::NAME
+                );
+                landed.push((i, result, rng));
+            },
+        );
+    }
+    assert_eq!(
+        started,
+        (0..n).collect::<Vec<_>>(),
+        "start runs in lane order"
+    );
+    assert_eq!(landed.len(), n, "{}: one landing per lane", G::NAME);
+    for (i, (lane, result, rng)) in landed.into_iter().enumerate() {
+        assert_eq!(lane, i, "{}: landings run in lane order", G::NAME);
+        let mut scalar_rng = Xoshiro256pp::new(seeds[i]);
+        let scalar = random_playout(roots[i], &mut scalar_rng);
+        assert_eq!(result, scalar, "{} lane {i}/{n}: result diverged", G::NAME);
+        assert_eq!(
+            rng,
+            scalar_rng,
+            "{} lane {i}/{n}: final stream diverged from the scalar draw",
+            G::NAME
+        );
+    }
+}
+
+/// `n` lanes from varied prefixes of one game; every third lane from a
+/// finished game when `terminal` is set. Seeds are distinct per lane, so a
+/// stream landed into the wrong lane cannot go unnoticed.
+fn mixed_lanes<G: Game>(
+    seed: u64,
+    n: usize,
+    max_prefix: u32,
+    terminal: bool,
+) -> (Vec<G>, Vec<u64>) {
+    let roots = (0..n)
+        .map(|i| {
+            let plies = if terminal && i % 3 == 2 {
+                u32::MAX
+            } else {
+                (seed.wrapping_add(i as u64 * 7) % (max_prefix as u64 + 1)) as u32
+            };
+            advance(G::initial(), plies, seed ^ (i as u64) << 8)
+        })
+        .collect();
+    let seeds = (0..n)
+        .map(|i| seed.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64))
+        .collect();
+    (roots, seeds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn play_lanes_matches_scalar_on_every_lane_count(seed in any::<u64>(), terminal in any::<bool>()) {
+        // 0–20 lanes: empty, partial single batches, exact batches and
+        // padded last batches. Reversi runs the lane engine, Hex11 the
+        // scalar fallback.
+        for n in 0..=20 {
+            let (roots, seeds) = mixed_lanes::<Reversi>(seed, n, 50, terminal);
+            assert_play_lanes_matches_scalar(&roots, &seeds);
+            let (roots, seeds) = mixed_lanes::<Hex11>(seed, n, 100, terminal);
+            assert_play_lanes_matches_scalar(&roots, &seeds);
+        }
+    }
+}
+
+// The helper test covers both routes: Reversi batches, Hex 11×11 runs
+// scalar.
+const _: () = assert!(Reversi::LANE_ENGINE && !Hex11::LANE_ENGINE);

@@ -11,9 +11,13 @@ Usage:
                                  LRU recycling records (live nodes <= cap,
                                  eviction + transposition traffic, equal
                                  rerun checksums, steady state >= 1.0x vs
-                                 unbounded), device-resident tree gate
-                                 (>= 1.5x virtual sims/s vs block_parallel
-                                 on the same budget), playout_lanes records
+                                 unbounded), device-resident tree gates
+                                 (>= 1.5x virtual sims/s and >= 0.3x wall
+                                 playouts/s vs block_parallel on the same
+                                 budget), root-parallel lane gate (8 trees
+                                 on one worker >= 1.5x the sequential
+                                 record's wall playouts/s, both best of
+                                 >= 3 passes of >= 20 ms), playout_lanes records
                                  (widths 1/4/8, per-record rerun checksums
                                  equal, all widths bit-identical to each
                                  other, lanes-8 >= 2.0x the scalar
@@ -98,6 +102,20 @@ MIN_ENGINE_SPEEDUP = 1.5
 # (committed artifact shows ~2x; 1.5 is the acceptance line). Virtual
 # rates come from the cost models, so this gate is machine-independent.
 MIN_DEVICE_TREE_SPEEDUP = 1.5
+# Wall-clock: the device-resident blocks play their playouts as lane
+# batches, so their wall playouts/s must stay within reach of block
+# parallelism's (scalar in-kernel playouts read ~0.1x; lane batches
+# 0.36-0.55x on a 2-vCPU AVX-512 host; 0.3 is the acceptance line).
+MIN_DEVICE_TREE_WALL_VS_BLOCK = 0.3
+# Wall-clock: eight root-parallel trees on one worker step in lockstep and
+# play their playouts as one 8-lane batch, against the one-tree sequential
+# search. The line sits low enough to hold on AVX2-only hosts, where the
+# 8-lane batch is ~3x scalar rather than ~12x.
+MIN_ROOT_PARALLEL_LANES_SPEEDUP = 1.5
+# Both wall ratios compare search records timed as the best of at least
+# this many passes, each at least this long.
+MIN_SEARCH_PASSES = 3
+MIN_SEARCH_PASS_NS = 20_000_000
 # The SoA layout must beat the AoS baseline on the cold-cache selection
 # sweep by a clear margin (committed artifact shows ~1.8x; the gate leaves
 # headroom for noisy CI runners).
@@ -392,6 +410,65 @@ def check_device_tree(path, data, summary):
             f"{path}: device-resident tree only {speedup:.2f}x vs"
             f" block_parallel (gate: >= {MIN_DEVICE_TREE_SPEEDUP}x)"
         )
+    wall = wall_ratio(
+        path, searches, summary, "device_tree_wall_vs_block_parallel",
+        "device_tree", "block_parallel",
+    )
+    if wall < MIN_DEVICE_TREE_WALL_VS_BLOCK:
+        fail(
+            f"{path}: device-resident tree wall playouts/s only {wall:.2f}x"
+            f" block_parallel's (gate: >= {MIN_DEVICE_TREE_WALL_VS_BLOCK}x)"
+        )
+    return speedup, wall
+
+
+def wall_ratio(path, searches, summary, field, num, den):
+    """The summary's wall playouts/s ratio of search records `num` over
+    `den`: both timed as the best of enough long-enough passes, and the
+    summary field equal to the ratio of the two records."""
+    for scheme in (num, den):
+        rec = searches.get(scheme)
+        if rec is None:
+            fail(f"{path}: missing search record for scheme {scheme!r}")
+        for f in ("playouts_per_sec", "passes", "wall_ns"):
+            if f not in rec:
+                fail(f"{path}: search[{scheme}]: missing field {f!r}")
+        if rec["passes"] < MIN_SEARCH_PASSES or rec["wall_ns"] < MIN_SEARCH_PASS_NS:
+            fail(
+                f"{path}: search[{scheme}] timed {rec['passes']} passes, best"
+                f" {rec['wall_ns']} ns (need >= {MIN_SEARCH_PASSES} passes"
+                f" of >= {MIN_SEARCH_PASS_NS} ns)"
+            )
+    ratio = summary.get(field)
+    if ratio is None:
+        fail(f"{path}: summary lacks {field}")
+    recomputed = searches[num]["playouts_per_sec"] / searches[den]["playouts_per_sec"]
+    if abs(recomputed - ratio) > 1e-6 * max(abs(recomputed), abs(ratio)):
+        fail(f"{path}: summary {field} {ratio} != {num} / {den} playouts_per_sec {recomputed}")
+    return ratio
+
+
+def check_root_parallel_lanes(path, data, summary):
+    """Eight root-parallel trees on one worker against the sequential
+    search, on the same per-tree budget: the lockstep lane batches must
+    clear the wall-clock floor."""
+    searches = {r.get("scheme"): r for r in data if r.get("record") == "search"}
+    speedup = wall_ratio(
+        path, searches, summary, "root_parallel_lanes_speedup_vs_sequential",
+        "root_parallel", "sequential",
+    )
+    per_tree = searches["root_parallel"]["iterations"] / 8
+    if per_tree != searches["sequential"]["iterations"]:
+        fail(
+            f"{path}: root_parallel ran {per_tree} iterations per tree vs"
+            f" sequential's {searches['sequential']['iterations']}"
+            " (the ratio must be measured on the same budget)"
+        )
+    if speedup < MIN_ROOT_PARALLEL_LANES_SPEEDUP:
+        fail(
+            f"{path}: 8 root-parallel trees only {speedup:.2f}x the sequential"
+            f" search's wall playouts/s (gate: >= {MIN_ROOT_PARALLEL_LANES_SPEEDUP}x)"
+        )
     return speedup
 
 
@@ -437,14 +514,16 @@ def check_throughput(path, baseline=None, tolerance=DEFAULT_BASELINE_TOLERANCE):
         )
     sel = check_tree_ops(path, data, summary)
     steady = check_bounded_tree_ops(path, data, summary)
-    resident = check_device_tree(path, data, summary)
+    resident, resident_wall = check_device_tree(path, data, summary)
+    root_lanes = check_root_parallel_lanes(path, data, summary)
     lanes = check_playout_lanes(path, data, summary)
     schemes = check_host_phases(path, data, summary)
     msg = (
         f"check_bench: OK: {path}: engine {speedup:.2f}x vs lockstep,"
         f" SoA select {sel:.2f}x vs AoS,"
         f" bounded steady {steady:.2f}x vs unbounded,"
-        f" device tree {resident:.2f}x vs block_parallel,"
+        f" device tree {resident:.2f}x virtual, {resident_wall:.2f}x wall vs block_parallel,"
+        f" root_parallel lanes {root_lanes:.2f}x vs sequential,"
         f" lanes-8 {lanes:.2f}x vs scalar playouts,"
         f" host_phases {', '.join(schemes)}"
     )
