@@ -4,7 +4,12 @@
 //! models; this binary is the exception that measures how fast the host
 //! actually grinds through the work (DESIGN.md §7). Five layers:
 //!
-//! 1. **Raw playouts** — allocation-free `random_playout` on one core.
+//! 1. **Raw playouts** — allocation-free `random_playout` on one core,
+//!    on Reversi and on Hex 11×11. The Hex record times the engine
+//!    against the list-and-flood reference playout
+//!    (`pmcts_bench::hex_reference`) on the same roots and streams,
+//!    asserted equal first; the summary's
+//!    `hex_playout_speedup_vs_reference` is gated at ≥ 2.0x.
 //! 2. **Kernel simulation** — the same launch executed by the retained
 //!    per-step lockstep interpreter (`execute_kernel_lockstep`, the
 //!    pre-optimisation engine and correctness oracle) and by the
@@ -45,11 +50,13 @@
 //! Run: `cargo run --release -p pmcts-bench --bin throughput -- [--full]`
 //! (`--out DIR` also writes `DIR/BENCH_throughput.json`).
 
+use pmcts_bench::hex_reference::reference_playout;
 use pmcts_bench::tree_aos::AosSearchTree;
-use pmcts_bench::{midgame_position, write_json, BenchArgs, JsonObject};
+use pmcts_bench::{midgame_position, midgame_position_of, write_json, BenchArgs, JsonObject};
 use pmcts_core::gpu::PlayoutKernel;
 use pmcts_core::prelude::*;
 use pmcts_core::tree::SearchTree;
+use pmcts_games::PlayoutResult;
 use pmcts_gpu_sim::executor::{execute_kernel, execute_kernel_lockstep};
 use pmcts_gpu_sim::WorkerPool;
 use pmcts_util::{Rng64, Xoshiro256pp};
@@ -94,6 +101,112 @@ fn bench_cpu_playouts(position: Reversi, playouts: u64, seed: u64) -> (JsonObjec
     (record, rate(playouts, wall_ns))
 }
 
+/// Folds one playout result into a running checksum.
+fn fold_playout(checksum: u64, r: &PlayoutResult) -> u64 {
+    let outcome_code = match r.outcome {
+        Outcome::Win(Player::P1) => 1u64,
+        Outcome::Win(Player::P2) => 2,
+        Outcome::Draw => 3,
+    };
+    let enc =
+        (u64::from(r.plies) << 10) | (outcome_code << 8) | (r.final_score as i64 as u64 & 0xFF);
+    checksum.wrapping_mul(0x100_0000_01B3).wrapping_add(enc)
+}
+
+/// Hex roots of the `hex_playouts` record: 16 positions of 0–60 plies.
+const HEX_ROOTS: u64 = 16;
+/// Salt of the `hex_playouts` streams: playout `j` draws from
+/// `Xoshiro256pp::derive(seed ^ HEX_STREAMS, j)`.
+const HEX_STREAMS: u64 = 0x4E11;
+/// Timed rounds per side of the `hex_playouts` record; each side keeps its
+/// fastest round.
+const HEX_ROUNDS: u32 = 3;
+
+/// `playouts` Hex 11×11 playouts round-robin over `roots`, playout `j` on
+/// its own derived stream, by `play`: (checksum, plies, wall_ns).
+fn time_hex_playouts(
+    roots: &[Hex11],
+    playouts: u64,
+    seed: u64,
+    play: impl Fn(&Hex11, &mut Xoshiro256pp) -> PlayoutResult,
+) -> (u64, u64, u64) {
+    let mut checksum = 0u64;
+    let mut plies = 0u64;
+    let start = Instant::now();
+    for j in 0..playouts {
+        let mut rng = Xoshiro256pp::derive(seed ^ HEX_STREAMS, j);
+        let r = play(&roots[(j % HEX_ROOTS) as usize], &mut rng);
+        plies += u64::from(r.plies);
+        checksum = fold_playout(checksum, &r);
+    }
+    (checksum, plies, start.elapsed().as_nanos() as u64)
+}
+
+/// Single-core Hex 11×11 playout throughput (the `games.playout` layer):
+/// `random_playout::<Hex11>` against the list-and-flood reference on the
+/// same roots and streams. Both are asserted equal first, results and
+/// final streams included; then the two alternate for [`HEX_ROUNDS`]
+/// rounds and each keeps its fastest. Returns the record plus the
+/// engine's speedup over the reference.
+fn bench_hex_playouts(playouts: u64, seed: u64) -> (JsonObject, f64) {
+    let roots: Vec<Hex11> = (0..HEX_ROOTS)
+        .map(|i| midgame_position_of(seed ^ i, 4 * i as u32))
+        .collect();
+    for j in 0..16 * HEX_ROOTS {
+        let root = roots[(j % HEX_ROOTS) as usize];
+        let mut engine = Xoshiro256pp::derive(seed ^ HEX_STREAMS, j);
+        let mut reference = engine.clone();
+        assert_eq!(
+            pmcts_games::random_playout(root, &mut engine),
+            reference_playout(&root, &mut reference),
+            "hex playout {j} diverged from the reference"
+        );
+        assert_eq!(engine, reference, "hex playout {j}: final stream diverged");
+    }
+    let mut best = (u64::MAX, u64::MAX);
+    let mut sums = None;
+    let mut reference_checksum = 0;
+    for _ in 0..HEX_ROUNDS {
+        let (ref_sum, ref_plies, ref_ns) =
+            time_hex_playouts(&roots, playouts, seed, |root, rng| {
+                reference_playout(root, rng)
+            });
+        let (sum, plies, ns) = time_hex_playouts(&roots, playouts, seed, |root, rng| {
+            pmcts_games::random_playout(*root, rng)
+        });
+        assert_eq!((sum, plies), (ref_sum, ref_plies), "hex playouts diverged");
+        assert!(
+            sums.is_none_or(|s| s == (sum, plies)),
+            "hex playouts nondeterministic"
+        );
+        sums = Some((sum, plies));
+        reference_checksum = ref_sum;
+        best = (best.0.min(ns), best.1.min(ref_ns));
+    }
+    let (checksum, plies) = sums.expect("at least one round");
+    let (wall_ns, reference_wall_ns) = best;
+    let record = JsonObject::new()
+        .str_field("record", "hex_playouts")
+        .str_field("game", "hex11")
+        .u64_field("roots", HEX_ROOTS)
+        .u64_field("rounds", u64::from(HEX_ROUNDS))
+        .u64_field("playouts", playouts)
+        .u64_field("plies", plies)
+        .u64_field("wall_ns", wall_ns)
+        .f64_field("playouts_per_sec", rate(playouts, wall_ns))
+        .u64_field("reference_wall_ns", reference_wall_ns)
+        .f64_field(
+            "reference_playouts_per_sec",
+            rate(playouts, reference_wall_ns),
+        )
+        .u64_field("checksum", checksum)
+        .u64_field("reference_checksum", reference_checksum);
+    (
+        record,
+        rate(playouts, wall_ns) / rate(playouts, reference_wall_ns),
+    )
+}
+
 /// Single-core multi-lane playout throughput at lane width `N`
 /// (DESIGN.md §15).
 ///
@@ -118,15 +231,7 @@ fn bench_playout_lanes<const N: usize>(
             });
             for r in pmcts_games::LaneBatch::new([position; N], rngs).run() {
                 plies += u64::from(r.plies);
-                let outcome_code = match r.outcome {
-                    Outcome::Win(Player::P1) => 1u64,
-                    Outcome::Win(Player::P2) => 2,
-                    Outcome::Draw => 3,
-                };
-                let enc = (u64::from(r.plies) << 10)
-                    | (outcome_code << 8)
-                    | (r.final_score as i64 as u64 & 0xFF);
-                checksum = checksum.wrapping_mul(0x100_0000_01B3).wrapping_add(enc);
+                checksum = fold_playout(checksum, &r);
             }
         }
         let wall_ns = start.elapsed().as_nanos() as u64;
@@ -787,6 +892,8 @@ fn main() {
     let (rec, lanes8_rate) = bench_playout_lanes::<8>(position, cpu_playouts, args.seed);
     records.push(rec);
     let playout_lanes_speedup = lanes8_rate / cpu_playout_rate;
+    let (rec, hex_playout_speedup) = bench_hex_playouts(cpu_playouts, args.seed);
+    records.push(rec);
 
     let (rec, legacy_rate) = bench_engine("legacy_lockstep", &kernels, launch, |k| {
         execute_kernel_lockstep(k, &launch, &spec)
@@ -952,6 +1059,7 @@ fn main() {
         .f64_field("kernel_speedup_vs_lockstep", speedup_pool)
         .f64_field("kernel_speedup_vs_lockstep_1_thread", speedup_1t)
         .f64_field("playout_lanes_speedup_vs_scalar", playout_lanes_speedup)
+        .f64_field("hex_playout_speedup_vs_reference", hex_playout_speedup)
         .f64_field("tree_ops_select_speedup_vs_aos", sel_speedup)
         .f64_field("tree_ops_expand_speedup_vs_aos", exp_speedup)
         .f64_field("tree_ops_backprop_speedup_vs_aos", bp_speedup)
@@ -974,6 +1082,7 @@ fn main() {
         pool.size()
     );
     eprintln!("playout lanes (8-wide) vs scalar playouts: {playout_lanes_speedup:.2}x");
+    eprintln!("hex11 playouts vs list-and-flood reference: {hex_playout_speedup:.2}x");
     eprintln!(
         "SoA tree speedup vs AoS baseline: select {sel_speedup:.2}x, \
          expand {exp_speedup:.2}x, backprop {bp_speedup:.2}x"

@@ -8,8 +8,11 @@
 //!
 //! [`tree_aos`] keeps the original array-of-structs search tree as the
 //! `throughput` baseline and the layout-equivalence oracle of the SoA
-//! [`SearchTree`](pmcts_core::tree::SearchTree).
+//! [`SearchTree`](pmcts_core::tree::SearchTree); [`hex_reference`] keeps
+//! the original list-and-flood Hex playout as the baseline of the Hex
+//! playout record.
 
+pub mod hex_reference;
 pub mod tree_aos;
 
 use pmcts_games::{Game, Reversi};

@@ -5,13 +5,26 @@
 //! which stresses the searchers' expansion strategy. P1 ("Red") connects the
 //! top and bottom rows; P2 ("Blue") connects the left and right columns.
 //!
-//! Stones are kept in `u128` bitboards (N ≤ 11 ⇒ ≤ 121 cells). Win detection
-//! is a mask-based flood fill from the player's starting edge, using the six
-//! hexagonal neighbour directions expressed as shifts — the same technique
-//! as the Reversi move generator.
+//! Stones are kept in `u128` bitboards (N ≤ 11 ⇒ ≤ 121 cells), and the six
+//! hexagonal neighbour directions are shifts — the same technique as the
+//! Reversi move generator. A playout ply costs amortised O(1):
+//!
+//! * **Move pick.** [`Game::random_move_with`] draws one
+//!   `next_below(popcount(empty))` and returns the k-th empty cell in
+//!   ascending order — with BMI2 `pdep` on the `u64` half that holds it
+//!   where the host has BMI2, a bit loop elsewhere — exactly the cell the
+//!   listed pick (`legal_moves`, then `buf[next_below(len)]`) returns.
+//! * **Win test.** Each state keeps the host-only set of stones connected
+//!   to their owner's start edge (Red: top row; Blue: left column). A new
+//!   stone on the start edge, or next to the mover's anchored stones,
+//!   grows that set by a flood fill through the mover's stones; the mover
+//!   has won iff its anchored stones reach the far edge. Every other ply
+//!   costs one mask test, and each fill step anchors at least one stone.
 
 use crate::game::{Game, MoveBuf, Outcome, Player};
+use crate::reversi::bitboard::select_bit;
 use crate::zobrist;
+use pmcts_util::Rng64;
 
 /// Zobrist key domain tag; the board size is mixed in so different `Hex<N>`
 /// instantiations never share keys. Indices are `player * N² + cell`; no
@@ -33,6 +46,11 @@ pub struct Hex<const N: usize> {
     red: u128,
     /// P2 ("Blue", connects left column to right column).
     blue: u128,
+    /// Host-only win-test cache: each player's stones connected to that
+    /// player's start edge (Red's to the top row, Blue's to the left
+    /// column). The two sets are disjoint, so one word holds both; it is a
+    /// pure function of `red` and `blue`.
+    anchored: u128,
     /// Plies played.
     plies: u16,
     /// Winner, set as soon as a connection is completed.
@@ -109,6 +127,16 @@ impl<const N: usize> Hex<N> {
     const NOT_FIRST_COL: u128 = not_first_col(N);
     const NOT_LAST_COL: u128 = not_last_col(N);
     const EDGES: (u128, u128, u128, u128) = edge_masks(N);
+    /// [`neighbours`](Self::neighbours) of each single cell.
+    const CELL_NEIGHBOURS: [u128; 128] = {
+        let mut table = [0u128; 128];
+        let mut cell = 0;
+        while cell < N * N {
+            table[cell] = Self::neighbours(1 << cell);
+            cell += 1;
+        }
+        table
+    };
 
     /// Stones of player `p`.
     pub fn stones(&self, p: Player) -> u128 {
@@ -126,7 +154,7 @@ impl<const N: usize> Hex<N> {
     /// Expands `set` by one step of hexagonal adjacency, clipped to the
     /// board. Neighbours of (r,c): (r,c±1), (r±1,c), (r−1,c+1), (r+1,c−1).
     #[inline]
-    fn neighbours(set: u128) -> u128 {
+    const fn neighbours(set: u128) -> u128 {
         let e = (set & Self::NOT_LAST_COL) << 1;
         let w = (set & Self::NOT_FIRST_COL) >> 1;
         let s = set << N;
@@ -136,32 +164,78 @@ impl<const N: usize> Hex<N> {
         (e | w | s | n | ne | sw) & Self::BOARD
     }
 
-    /// Whether `stones` connect `from_edge` to `to_edge` (flood fill).
-    fn connects(stones: u128, from_edge: u128, to_edge: u128) -> bool {
-        let mut reached = stones & from_edge;
-        if reached == 0 {
-            return false;
+    /// Player `p`'s (start, far) edges.
+    #[inline]
+    fn edges(p: Player) -> (u128, u128) {
+        let (top, bottom, left, right) = Self::EDGES;
+        match p {
+            Player::P1 => (top, bottom),
+            Player::P2 => (left, right),
         }
+    }
+
+    /// Grows `reached` through `stones` until it stops changing.
+    #[inline]
+    fn flood(mut reached: u128, stones: u128) -> u128 {
         loop {
             let grown = reached | (Self::neighbours(reached) & stones);
-            if grown & to_edge != 0 {
-                return true;
-            }
             if grown == reached {
-                return false;
+                return reached;
             }
             reached = grown;
         }
     }
 
-    /// Whether player `p` has completed their connection.
-    pub fn has_won(&self, p: Player) -> bool {
-        let (top, bottom, left, right) = Self::EDGES;
-        match p {
-            Player::P1 => Self::connects(self.red, top, bottom),
-            Player::P2 => Self::connects(self.blue, left, right),
-        }
+    /// Whether `stones` connect `from_edge` to `to_edge`, by a flood fill
+    /// from scratch: the oracle of the incremental `anchored` win test.
+    #[cfg(test)]
+    fn connects(stones: u128, from_edge: u128, to_edge: u128) -> bool {
+        Self::flood(stones & from_edge, stones) & to_edge != 0
     }
+
+    /// Whether player `p` has completed their connection: their stones
+    /// connected to their start edge reach the far edge.
+    pub fn has_won(&self, p: Player) -> bool {
+        let far = Self::edges(p).1;
+        self.anchored & self.stones(p) & far != 0
+    }
+}
+
+/// The `k`-th (0-based) set bit of `mask` in ascending order, by a bit
+/// loop over the `u64` half that holds it. Debug-panics if `k` is out of
+/// range.
+fn select_portable(mask: u128, k: u32) -> u8 {
+    let low = mask as u64;
+    let below = low.count_ones();
+    if k < below {
+        select_bit(low, k)
+    } else {
+        64 + select_bit((mask >> 64) as u64, k - below)
+    }
+}
+
+/// [`select_portable`] in O(1): `pdep` deposits the bit `1 << k` on the
+/// `k`-th set bit of the half that holds it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,popcnt")]
+fn select_pdep(mask: u128, k: u32) -> u8 {
+    use core::arch::x86_64::_pdep_u64;
+    let low = mask as u64;
+    let below = low.count_ones();
+    if k < below {
+        _pdep_u64(1 << k, low).trailing_zeros() as u8
+    } else {
+        64 + _pdep_u64(1 << (k - below), (mask >> 64) as u64).trailing_zeros() as u8
+    }
+}
+
+/// One uniform pick among the set bits of non-empty `empty`, with the
+/// draw inlined under the same features as [`select_pdep`] so both
+/// popcounts are single instructions.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,popcnt")]
+fn pick_pdep<R: Rng64>(empty: u128, rng: &mut R) -> u8 {
+    select_pdep(empty, rng.next_below(empty.count_ones()))
 }
 
 impl<const N: usize> Game for Hex<N> {
@@ -176,6 +250,7 @@ impl<const N: usize> Game for Hex<N> {
         Hex {
             red: 0,
             blue: 0,
+            anchored: 0,
             plies: 0,
             winner: None,
             hash: 0,
@@ -209,14 +284,30 @@ impl<const N: usize> Game for Hex<N> {
         let bit = 1u128 << cell;
         debug_assert_eq!((self.red | self.blue) & bit, 0, "cell occupied");
         let mover = self.to_move();
-        match mover {
-            Player::P1 => self.red |= bit,
-            Player::P2 => self.blue |= bit,
-        }
+        let own = match mover {
+            Player::P1 => {
+                self.red |= bit;
+                self.red
+            }
+            Player::P2 => {
+                self.blue |= bit;
+                self.blue
+            }
+        };
         self.hash ^= stone_key(N, mover, cell);
         self.plies += 1;
-        if self.has_won(mover) {
-            self.winner = Some(mover);
+        // The new stone joins the anchored set iff it lies on the start
+        // edge or touches an anchored stone of its own colour; then so do
+        // the groups it connects. Otherwise nothing it touches is anchored,
+        // and no connection changed.
+        let (start, far) = Self::edges(mover);
+        let anchored = self.anchored & own;
+        if (bit & start) | (Self::CELL_NEIGHBOURS[cell as usize] & anchored) != 0 {
+            let grown = Self::flood(anchored | bit, own);
+            self.anchored |= grown;
+            if grown & far != 0 {
+                self.winner = Some(mover);
+            }
         }
     }
 
@@ -252,23 +343,41 @@ impl<const N: usize> Game for Hex<N> {
     }
 
     fn device_state_bytes() -> usize {
-        // The host-only `hash` cache sits entirely in what was padding
-        // (u128 alignment), so the wire size is the full struct — same 48
-        // bytes as before the cache existed.
-        std::mem::size_of::<Self>()
+        // Everything except the host-only `anchored` word: 48 bytes. The
+        // host-only `hash` sits in what would otherwise be padding (u128
+        // alignment), so removing it would not shrink the struct.
+        std::mem::size_of::<Self>() - std::mem::size_of::<u128>()
     }
 
-    // `random_move_with` deliberately uses the trait default: it routes
-    // through the caller's shared `MoveBuf`, the uniform allocation-free
-    // convention lane batching relies on. (A former bitboard-native
-    // override ignored its buffer; the default draws the same single
-    // `next_below(popcount(empty))` and picks the same ascending-order
-    // cell, so the switch was bit-identical.)
+    /// Bitboard-native uniform move choice: the k-th empty cell for one
+    /// `next_below(popcount(empty))` draw, the cell and draw of the listed
+    /// pick, without materialising a move list (`_buf` is unused, as in
+    /// Reversi). `pdep` is chosen per call where the host has BMI2.
+    #[inline]
+    fn random_move_with<R: Rng64>(&self, rng: &mut R, _buf: &mut MoveBuf<u8>) -> Option<u8> {
+        if self.winner.is_some() {
+            return None;
+        }
+        let empty = Self::BOARD & !(self.red | self.blue);
+        if empty == 0 {
+            return None;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
+            // SAFETY: both features `pick_pdep` enables were just checked.
+            return Some(unsafe { pick_pdep(empty, rng) });
+        }
+        Some(select_portable(empty, rng.next_below(empty.count_ones())))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmcts_util::{SplitMix64, Xoshiro256pp};
+    use proptest::prelude::*;
 
     #[test]
     fn initial_board_empty() {
@@ -348,7 +457,6 @@ mod tests {
 
     #[test]
     fn random_games_always_produce_a_winner() {
-        use pmcts_util::Xoshiro256pp;
         let mut rng = Xoshiro256pp::new(77);
         for _ in 0..30 {
             let mut s = Hex7::initial();
@@ -410,5 +518,125 @@ mod tests {
         let mut buf = MoveBuf::new();
         s.legal_moves(&mut buf);
         assert_eq!(buf.len(), 121);
+    }
+
+    #[test]
+    fn host_only_anchored_word_keeps_the_device_payload() {
+        assert_eq!(std::mem::size_of::<Hex11>(), 64);
+        assert_eq!(Hex11::device_state_bytes(), 48);
+    }
+
+    /// Each player's stones flood-filled from scratch from their start edge.
+    fn anchored_from_scratch<const N: usize>(s: &Hex<N>) -> u128 {
+        let fill = |p| Hex::<N>::flood(s.stones(p) & Hex::<N>::edges(p).0, s.stones(p));
+        fill(Player::P1) | fill(Player::P2)
+    }
+
+    /// The pick the trait default makes: list the moves, draw an index.
+    fn listed_pick<G: Game, R: Rng64>(s: &G, rng: &mut R) -> Option<G::Move> {
+        let mut buf = MoveBuf::new();
+        s.legal_moves(&mut buf);
+        (!buf.is_empty()).then(|| buf[rng.next_below(buf.len() as u32) as usize])
+    }
+
+    /// Along one random game, after every `apply`: the incremental anchored
+    /// set equals the from-scratch fill, and a player is the winner iff
+    /// the from-scratch `connects` says their stones join their edges.
+    fn check_anchored_along_a_game<const N: usize>(seed: u64) {
+        let mut rng = Xoshiro256pp::new(seed);
+        let mut s = Hex::<N>::initial();
+        while let Some(cell) = listed_pick(&s, &mut rng) {
+            s.apply(cell);
+            assert_eq!(s.anchored, anchored_from_scratch(&s), "{s:?}");
+            for p in [Player::P1, Player::P2] {
+                let (start, far) = Hex::<N>::edges(p);
+                let connected = Hex::<N>::connects(s.stones(p), start, far);
+                assert_eq!(s.winner == Some(p), connected, "{p:?} in {s:?}");
+                assert_eq!(s.has_won(p), connected, "{p:?} in {s:?}");
+            }
+        }
+        assert!(s.winner.is_some(), "a full board has a connection: {s:?}");
+    }
+
+    /// At every position of one random game, the terminal one included:
+    /// `random_move_with` returns the listed pick's cell and leaves the
+    /// stream where the listed pick leaves it.
+    fn check_pick_along_a_game<const N: usize>(seed: u64) {
+        let mut walk = Xoshiro256pp::new(seed);
+        let mut s = Hex::<N>::initial();
+        let mut buf = MoveBuf::new();
+        loop {
+            let mut fast = Xoshiro256pp::derive(seed, u64::from(s.plies));
+            let mut listed = fast.clone();
+            let cell = s.random_move_with(&mut fast, &mut buf);
+            assert_eq!(cell, listed_pick(&s, &mut listed), "{s:?}");
+            assert_eq!(fast, listed, "stream diverged at {s:?}");
+            match listed_pick(&s, &mut walk) {
+                Some(next) => s.apply(next),
+                None => break,
+            }
+        }
+        assert!(s.is_terminal());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn anchored_set_matches_a_fill_from_scratch(seed in any::<u64>()) {
+            check_anchored_along_a_game::<5>(seed);
+            check_anchored_along_a_game::<7>(seed);
+            check_anchored_along_a_game::<11>(seed);
+        }
+
+        #[test]
+        fn random_move_with_matches_the_listed_pick(seed in any::<u64>()) {
+            check_pick_along_a_game::<5>(seed);
+            check_pick_along_a_game::<7>(seed);
+            check_pick_along_a_game::<11>(seed);
+        }
+    }
+
+    #[test]
+    fn portable_select_enumerates_in_order() {
+        let mut rng = SplitMix64::new(48);
+        for _ in 0..500 {
+            let mask = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+            let mask = mask & (u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()));
+            let cells: Vec<u8> = (0..128).filter(|&i| mask >> i & 1 == 1).collect();
+            for (k, &cell) in cells.iter().enumerate() {
+                assert_eq!(select_portable(mask, k as u32), cell, "{mask:#x} k={k}");
+            }
+        }
+        assert_eq!(select_portable(u128::MAX, 127), 127);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pdep_select_matches_portable_select() {
+        if !(std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("popcnt"))
+        {
+            println!("pdep select: skipped (host lacks bmi2)");
+            return;
+        }
+        let mut rng = SplitMix64::new(49);
+        for round in 0..2_000 {
+            let mut mask = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+            // Dense, half and sparse masks, and one half empty.
+            for _ in 0..round % 3 {
+                mask &= u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+            }
+            match round % 7 {
+                0 => mask &= u128::from(u64::MAX),
+                1 => mask &= !u128::from(u64::MAX),
+                _ => {}
+            }
+            for k in 0..mask.count_ones() {
+                // SAFETY: both features were just checked.
+                let fast = unsafe { select_pdep(mask, k) };
+                assert_eq!(fast, select_portable(mask, k), "{mask:#x} k={k}");
+            }
+        }
     }
 }

@@ -11,8 +11,9 @@
 //! * [`connect4`] — 7×6 Connect Four on the classic Fhourstones bitboard.
 //! * [`tictactoe`] — exactly solvable; used by the test suite to verify that
 //!   the searchers converge to game-theoretically optimal moves.
-//! * [`hex`] — Hex on an N×N rhombus (no draws; win detection by flood
-//!   fill), exercising a game with a much larger branching factor.
+//! * [`hex`] — Hex on an N×N rhombus (no draws; win detection from an
+//!   incrementally kept set of edge-anchored stones), exercising a game
+//!   with a much larger branching factor.
 //!
 //! The [`playout`] module implements the random simulation step shared by
 //! every MCTS variant in `pmcts-core`.

@@ -32,133 +32,143 @@ use crate::kernel::{Kernel, LaunchConfig, ThreadId};
 use crate::launch::LaunchResult;
 use crate::pool::WorkerPool;
 use crate::stats::KernelStats;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
-/// Per-block simulation result, later folded into the launch result.
-struct BlockOutcome<O> {
-    block: u32,
-    outputs: Vec<O>,
+/// One block's slot in a launch: its lanes' `(output, steps)` in thread
+/// order, one warp's thread ids of scratch, and the block's totals.
+///
+/// The launching thread allocates every slot at full capacity before the
+/// fan-out, and the thread that simulates the block fills it, so no worker
+/// thread allocates during a launch (memory allocated on one thread and
+/// freed on another made glibc's per-thread arenas creep).
+struct BlockSlot<O> {
+    lanes: Vec<(O, u64)>,
+    tids: Vec<ThreadId>,
+    totals: BlockTotals,
+}
+
+/// A block's cycles and warp, lane and idle-lane step counts.
+#[derive(Clone, Copy, Default)]
+struct BlockTotals {
     cycles: u64,
     warp_steps: u64,
     lane_steps: u64,
     idle_lane_steps: u64,
 }
 
-/// Simulates one block by running every lane to completion and accounting
-/// warp divergence analytically.
+impl BlockTotals {
+    /// Accounts one warp whose lanes took `max_steps` lockstep steps, the
+    /// slowest, and `sum_steps` in total: every step a finished lane sits
+    /// through is idle.
+    fn add_warp(&mut self, lanes: u32, max_steps: u64, sum_steps: u64, spec: &DeviceSpec) {
+        self.cycles += max_steps * spec.cycles_per_warp_step;
+        self.warp_steps += max_steps;
+        self.lane_steps += sum_steps;
+        self.idle_lane_steps += max_steps * u64::from(lanes) - sum_steps;
+    }
+}
+
+impl<O> BlockSlot<O> {
+    fn new(config: &LaunchConfig, spec: &DeviceSpec) -> Self {
+        BlockSlot {
+            lanes: Vec::with_capacity(config.threads_per_block as usize),
+            tids: Vec::with_capacity(spec.warp_size.min(config.threads_per_block) as usize),
+            totals: BlockTotals::default(),
+        }
+    }
+
+    /// Simulates block `block` into this slot with `warp(tids, lanes,
+    /// totals)` per warp. The vectors move to the stack for the block and
+    /// back once at its end: neighbouring slots share cache lines, and the
+    /// threads filling them would otherwise contend on every push.
+    fn fill(
+        &mut self,
+        block: u32,
+        config: &LaunchConfig,
+        spec: &DeviceSpec,
+        mut warp: impl FnMut(&[ThreadId], &mut Vec<(O, u64)>, &mut BlockTotals),
+    ) {
+        let tpb = config.threads_per_block;
+        let mut lanes = std::mem::take(&mut self.lanes);
+        let mut tids = std::mem::take(&mut self.tids);
+        let mut totals = BlockTotals::default();
+        let mut warp_start = 0u32;
+        while warp_start < tpb {
+            let count = spec.warp_size.min(tpb - warp_start);
+            tids.clear();
+            tids.extend((warp_start..warp_start + count).map(|thread| ThreadId {
+                block,
+                thread,
+                global: block * tpb + thread,
+            }));
+            warp(&tids, &mut lanes, &mut totals);
+            warp_start += count;
+        }
+        *self = BlockSlot {
+            lanes,
+            tids,
+            totals,
+        };
+    }
+}
+
+/// Simulates one block into `slot` by running every lane to completion and
+/// accounting warp divergence analytically.
 fn simulate_block<K: Kernel>(
     kernel: &K,
     block: u32,
     config: &LaunchConfig,
     spec: &DeviceSpec,
-) -> BlockOutcome<K::Output> {
-    let tpb = config.threads_per_block;
-    let warp = spec.warp_size;
-    let mut outputs = Vec::with_capacity(tpb as usize);
-    let mut cycles = 0u64;
-    let mut warp_steps_total = 0u64;
-    let mut lane_steps_total = 0u64;
-    let mut idle_total = 0u64;
-
-    let mut tids: Vec<ThreadId> = Vec::with_capacity(warp as usize);
-    let mut lane_results: Vec<(K::Output, u64)> = Vec::with_capacity(warp as usize);
-    let mut warp_start = 0u32;
-    while warp_start < tpb {
-        let lanes = warp.min(tpb - warp_start);
-        tids.clear();
-        for lane in 0..lanes {
-            let thread = warp_start + lane;
-            tids.push(ThreadId {
-                block,
-                thread,
-                global: block * tpb + thread,
-            });
-        }
+    slot: &mut BlockSlot<K::Output>,
+) {
+    slot.fill(block, config, spec, |tids, lanes, totals| {
+        let first = lanes.len();
         // One warp at a time through the kernel's batch entry point: lane
         // batches (e.g. bit-parallel multi-lane playouts) run here, with
         // outputs and step counts contractually identical to per-lane
         // `run_lane` calls.
-        lane_results.clear();
-        kernel.run_lanes(&tids, &mut lane_results);
+        kernel.run_lanes(tids, lanes);
         assert_eq!(
-            lane_results.len(),
-            lanes as usize,
+            lanes.len() - first,
+            tids.len(),
             "run_lanes must produce one (output, steps) per lane"
         );
-        let mut max_steps = 0u64;
-        let mut sum_steps = 0u64;
-        for (output, steps) in lane_results.drain(..) {
-            outputs.push(output);
-            max_steps = max_steps.max(steps);
-            sum_steps += steps;
-        }
-        // The warp runs until its slowest lane finishes; every step a
-        // finished lane sits through is idle — identical to what the masked
-        // lockstep interpreter counts step by step.
-        cycles += max_steps * spec.cycles_per_warp_step;
-        warp_steps_total += max_steps;
-        lane_steps_total += sum_steps;
-        idle_total += max_steps * lanes as u64 - sum_steps;
-        warp_start += lanes;
-    }
-
-    BlockOutcome {
-        block,
-        outputs,
-        cycles,
-        warp_steps: warp_steps_total,
-        lane_steps: lane_steps_total,
-        idle_lane_steps: idle_total,
-    }
+        let steps = lanes[first..].iter().map(|&(_, steps)| steps);
+        let (max_steps, sum_steps) = steps.fold((0, 0), |(max, sum), s| (max.max(s), sum + s));
+        // The warp runs until its slowest lane finishes, exactly what the
+        // masked lockstep interpreter counts step by step.
+        totals.add_warp(tids.len() as u32, max_steps, sum_steps, spec);
+    });
 }
 
-/// Simulates one block with the per-step masked lockstep interpreter — the
-/// original engine, kept verbatim as the oracle.
+/// Simulates one block into `slot` with the per-step masked lockstep
+/// interpreter — the original engine, kept as the oracle.
 fn simulate_block_lockstep<K: Kernel>(
     kernel: &K,
     block: u32,
     config: &LaunchConfig,
     spec: &DeviceSpec,
-) -> BlockOutcome<K::Output> {
-    let tpb = config.threads_per_block;
-    let warp = spec.warp_size;
-    let mut outputs = Vec::with_capacity(tpb as usize);
-    let mut cycles = 0u64;
-    let mut warp_steps_total = 0u64;
-    let mut lane_steps_total = 0u64;
-    let mut idle_total = 0u64;
-
-    let mut lane_ids: Vec<ThreadId> = Vec::with_capacity(warp as usize);
-    let mut states: Vec<Option<K::ThreadState>> = Vec::with_capacity(warp as usize);
-    let mut lane_steps: Vec<u64> = Vec::with_capacity(warp as usize);
-
-    let mut warp_start = 0u32;
-    while warp_start < tpb {
-        let lanes = warp.min(tpb - warp_start);
-        lane_ids.clear();
+    slot: &mut BlockSlot<K::Output>,
+) {
+    let warp = spec.warp_size as usize;
+    let mut states: Vec<Option<K::ThreadState>> = Vec::with_capacity(warp);
+    let mut lane_steps: Vec<u64> = Vec::with_capacity(warp);
+    slot.fill(block, config, spec, |lane_ids, out, totals| {
+        let lanes = lane_ids.len();
         states.clear();
         lane_steps.clear();
-        for lane in 0..lanes {
-            let thread = warp_start + lane;
-            let tid = ThreadId {
-                block,
-                thread,
-                global: block * tpb + thread,
-            };
-            lane_ids.push(tid);
+        for &tid in lane_ids {
             states.push(Some(kernel.init(tid)));
             lane_steps.push(0);
         }
 
         // Lockstep: one pass over live lanes per step; a lane that returns
         // `true` is masked out (its Option stays Some until finish()).
-        let mut live = lanes as usize;
-        let mut done = vec![false; lanes as usize];
+        let mut live = lanes;
+        let mut done = vec![false; lanes];
         let mut steps_this_warp = 0u64;
         while live > 0 {
             steps_this_warp += 1;
-            for lane in 0..lanes as usize {
+            for lane in 0..lanes {
                 if done[lane] {
                     continue;
                 }
@@ -171,50 +181,35 @@ fn simulate_block_lockstep<K: Kernel>(
             }
         }
 
-        cycles += steps_this_warp * spec.cycles_per_warp_step;
-        warp_steps_total += steps_this_warp;
         let useful: u64 = lane_steps.iter().sum();
-        lane_steps_total += useful;
-        idle_total += steps_this_warp * lanes as u64 - useful;
-
-        for lane in 0..lanes as usize {
+        for lane in 0..lanes {
             let state = states[lane].take().expect("state present at finish");
-            outputs.push(kernel.finish(state, lane_ids[lane]));
+            out.push((kernel.finish(state, lane_ids[lane]), lane_steps[lane]));
         }
-        warp_start += lanes;
-    }
-
-    BlockOutcome {
-        block,
-        outputs,
-        cycles,
-        warp_steps: warp_steps_total,
-        lane_steps: lane_steps_total,
-        idle_lane_steps: idle_total,
-    }
+        totals.add_warp(lanes as u32, steps_this_warp, useful, spec);
+    });
 }
 
-/// Folds per-block outcomes (sorted by block id) into the launch result:
+/// Folds the block slots, in block order, into the launch result:
 /// round-robin block→SM assignment, device time = busiest SM.
-fn fold_outcomes<K: Kernel>(
+fn fold_slots<K: Kernel>(
     kernel: &K,
     config: &LaunchConfig,
     spec: &DeviceSpec,
-    mut block_outcomes: Vec<BlockOutcome<K::Output>>,
+    slots: Vec<BlockSlot<K::Output>>,
 ) -> LaunchResult<K::Output> {
-    block_outcomes.sort_by_key(|o| o.block);
-
     let mut per_sm_cycles = vec![0u64; spec.sm_count as usize];
     let mut warp_steps = 0u64;
     let mut lane_steps = 0u64;
     let mut idle_lane_steps = 0u64;
     let mut outputs = Vec::with_capacity(config.total_threads() as usize);
-    for outcome in block_outcomes {
-        per_sm_cycles[(outcome.block % spec.sm_count) as usize] += outcome.cycles;
-        warp_steps += outcome.warp_steps;
-        lane_steps += outcome.lane_steps;
-        idle_lane_steps += outcome.idle_lane_steps;
-        outputs.extend(outcome.outputs);
+    for (block, slot) in slots.into_iter().enumerate() {
+        let totals = slot.totals;
+        per_sm_cycles[block % spec.sm_count as usize] += totals.cycles;
+        warp_steps += totals.warp_steps;
+        lane_steps += totals.lane_steps;
+        idle_lane_steps += totals.idle_lane_steps;
+        outputs.extend(slot.lanes.into_iter().map(|(output, _)| output));
     }
     let max_sm_cycles = per_sm_cycles.iter().copied().max().unwrap_or(0);
 
@@ -234,9 +229,18 @@ fn fold_outcomes<K: Kernel>(
     LaunchResult { outputs, stats }
 }
 
+/// One slot per block, allocated on the calling thread.
+fn block_slots<O>(config: &LaunchConfig, spec: &DeviceSpec) -> Vec<BlockSlot<O>> {
+    (0..config.blocks)
+        .map(|_| BlockSlot::new(config, spec))
+        .collect()
+}
+
 /// Executes `kernel` over `config` on the simulated device described by
-/// `spec`, fanning blocks out over `pool`'s workers (the calling thread
-/// participates, so a 1-worker pool degenerates to an inline loop).
+/// `spec`, fanning blocks out over `pool`'s workers with
+/// [`WorkerPool::map_indexed`] (the calling thread participates, so a
+/// 1-worker pool degenerates to an inline loop). Each block fills its own
+/// caller-allocated slot, so no worker thread allocates.
 ///
 /// Outputs are returned in global-thread order (`block * tpb + thread`),
 /// matching the layout of the result array a CUDA kernel would write.
@@ -246,35 +250,11 @@ pub fn execute_kernel<K: Kernel>(
     spec: &DeviceSpec,
     pool: &WorkerPool,
 ) -> LaunchResult<K::Output> {
-    let n_blocks = config.blocks;
-    let participants = pool.size().min(n_blocks as usize);
-
-    let block_outcomes: Vec<BlockOutcome<K::Output>> = if participants <= 1 {
-        (0..n_blocks)
-            .map(|b| simulate_block(kernel, b, config, spec))
-            .collect()
-    } else {
-        let next = AtomicU32::new(0);
-        let collected: Mutex<Vec<BlockOutcome<K::Output>>> =
-            Mutex::new(Vec::with_capacity(n_blocks as usize));
-        pool.run_scoped(participants, |_| {
-            let mut mine = Vec::new();
-            loop {
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= n_blocks {
-                    break;
-                }
-                mine.push(simulate_block(kernel, b, config, spec));
-            }
-            collected
-                .lock()
-                .expect("block collector poisoned")
-                .extend(mine);
-        });
-        collected.into_inner().expect("block collector poisoned")
-    };
-
-    fold_outcomes(kernel, config, spec, block_outcomes)
+    let mut slots = block_slots(config, spec);
+    pool.map_indexed(&mut slots, |b, slot| {
+        simulate_block(kernel, b as u32, config, spec, slot)
+    });
+    fold_slots(kernel, config, spec, slots)
 }
 
 /// Executes `kernel` with the original per-step masked lockstep interpreter,
@@ -290,10 +270,11 @@ pub fn execute_kernel_lockstep<K: Kernel>(
     config: &LaunchConfig,
     spec: &DeviceSpec,
 ) -> LaunchResult<K::Output> {
-    let block_outcomes = (0..config.blocks)
-        .map(|b| simulate_block_lockstep(kernel, b, config, spec))
-        .collect();
-    fold_outcomes(kernel, config, spec, block_outcomes)
+    let mut slots = block_slots(config, spec);
+    for (b, slot) in slots.iter_mut().enumerate() {
+        simulate_block_lockstep(kernel, b as u32, config, spec, slot);
+    }
+    fold_slots(kernel, config, spec, slots)
 }
 
 #[cfg(test)]

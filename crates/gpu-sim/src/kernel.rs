@@ -122,8 +122,10 @@ pub trait Kernel: Sync {
     }
 
     /// Runs a contiguous group of lanes (the executor passes one warp at a
-    /// time) and pushes each lane's `(output, steps)` into `out`, in `tids`
-    /// order.
+    /// time) and pushes each lane's `(output, steps)` onto `out`, in `tids`
+    /// order. `out` already holds the block's earlier warps and has
+    /// capacity for the whole block: append only, so nothing reallocates
+    /// on the worker thread.
     ///
     /// The default is a scalar loop over [`run_lane`](Self::run_lane).
     /// Kernels whose lanes batch profitably (e.g. bit-parallel multi-lane

@@ -5,7 +5,7 @@
 //! per MCTS iteration. [`WorkerPool`] replaces them: a fixed set of workers
 //! is created once per device (or shared across devices) and serves
 //! [`run_scoped`](WorkerPool::run_scoped) — synchronous fan-out where the
-//! closure may borrow from the caller's stack (the block loop of
+//! closure may borrow from the caller's stack (the blocks of
 //! `execute_kernel`, the searchers' host tree phases).
 //!
 //! **Determinism.** The pool never decides *what* work is done, only *which
@@ -156,7 +156,7 @@ impl WorkerPool {
         // Cancel this scope's still-unclaimed jobs: a popped job is owned by
         // a worker, so whatever remains in the queue never started and can
         // be discarded (participant 0 plus the executing workers drain the
-        // shared work source — for `execute_kernel`, the block counter).
+        // shared work source — for `map_indexed`, the index counter).
         let cancelled = {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
             let before = queue.jobs.len();
@@ -182,13 +182,13 @@ impl WorkerPool {
     /// Applies `f` to every element of `items` on the pool and returns the
     /// results **in item order**, regardless of which worker ran which item.
     ///
-    /// This is the deterministic fan-out primitive behind the searchers'
-    /// pool-parallel host phases: each item (one search tree) is claimed by
-    /// exactly one participant via an atomic counter, `f` gets exclusive
-    /// `&mut` access to it, and the result lands in the slot of the item's
-    /// index. Because outputs are keyed by index and the caller folds them
-    /// in order, results are bit-identical for any pool size — the same
-    /// property `execute_kernel` has for blocks.
+    /// This is the deterministic fan-out primitive behind kernel launches
+    /// and the searchers' pool-parallel host phases: each item (one block's
+    /// slot, one search tree) is claimed by exactly one participant via an
+    /// atomic counter, `f` gets exclusive `&mut` access to it, and the
+    /// result lands in the slot of the item's index. Because outputs are
+    /// keyed by index and the caller folds them in order, results are
+    /// bit-identical for any pool size.
     ///
     /// Built on [`run_scoped`](Self::run_scoped), so it inherits its
     /// guarantees: the caller participates (no deadlock when all workers

@@ -186,6 +186,23 @@ PLAYOUT_LANES_FIELDS = [
     "checksum",
     "checksum_rerun",
 ]
+# Hex 11x11 playouts (bit-select move pick, incrementally kept
+# edge-anchored win test) against the list-and-flood reference on the same
+# roots and streams: 4.8x on a 2-vCPU AVX-512 host with `pdep`, 3.4-3.9x
+# with the portable select, so 2.0 holds on hosts without BMI2 too.
+MIN_HEX_PLAYOUT_SPEEDUP = 2.0
+HEX_PLAYOUTS_FIELDS = [
+    "roots",
+    "rounds",
+    "playouts",
+    "plies",
+    "wall_ns",
+    "playouts_per_sec",
+    "reference_wall_ns",
+    "reference_playouts_per_sec",
+    "checksum",
+    "reference_checksum",
+]
 DEFAULT_BASELINE_TOLERANCE = 0.75
 
 
@@ -346,6 +363,39 @@ def check_playout_lanes(path, data, summary):
         fail(
             f"{path}: 8-wide lane batch only {speedup:.2f}x vs scalar"
             f" playouts (gate: >= {MIN_PLAYOUT_LANES_SPEEDUP}x)"
+        )
+    return speedup
+
+
+def check_hex_playouts(path, data, summary):
+    """The Hex 11x11 playout record: the engine and the list-and-flood
+    reference played the same playouts (equal checksums), and the engine
+    clears the gate margin over the reference."""
+    rec = next((r for r in data if r.get("record") == "hex_playouts"), None)
+    if rec is None:
+        fail(f"{path}: no hex_playouts record")
+    for f in HEX_PLAYOUTS_FIELDS:
+        if f not in rec:
+            fail(f"{path}: hex_playouts: missing field {f!r}")
+    if rec["checksum"] != rec["reference_checksum"]:
+        fail(
+            f"{path}: hex_playouts checksum {rec['checksum']} != reference"
+            f" {rec['reference_checksum']} (the engine must play the"
+            " reference's playouts)"
+        )
+    speedup = summary.get("hex_playout_speedup_vs_reference")
+    if speedup is None:
+        fail(f"{path}: summary lacks hex_playout_speedup_vs_reference")
+    recomputed = rec["playouts_per_sec"] / rec["reference_playouts_per_sec"]
+    if abs(recomputed - speedup) > 1e-6 * max(abs(recomputed), abs(speedup)):
+        fail(
+            f"{path}: summary hex_playout_speedup_vs_reference {speedup}"
+            f" != hex_playouts rate ratio {recomputed}"
+        )
+    if speedup < MIN_HEX_PLAYOUT_SPEEDUP:
+        fail(
+            f"{path}: hex11 playouts only {speedup:.2f}x the list-and-flood"
+            f" reference (gate: >= {MIN_HEX_PLAYOUT_SPEEDUP}x)"
         )
     return speedup
 
@@ -517,6 +567,7 @@ def check_throughput(path, baseline=None, tolerance=DEFAULT_BASELINE_TOLERANCE):
     resident, resident_wall = check_device_tree(path, data, summary)
     root_lanes = check_root_parallel_lanes(path, data, summary)
     lanes = check_playout_lanes(path, data, summary)
+    hex_playouts = check_hex_playouts(path, data, summary)
     schemes = check_host_phases(path, data, summary)
     msg = (
         f"check_bench: OK: {path}: engine {speedup:.2f}x vs lockstep,"
@@ -525,6 +576,7 @@ def check_throughput(path, baseline=None, tolerance=DEFAULT_BASELINE_TOLERANCE):
         f" device tree {resident:.2f}x virtual, {resident_wall:.2f}x wall vs block_parallel,"
         f" root_parallel lanes {root_lanes:.2f}x vs sequential,"
         f" lanes-8 {lanes:.2f}x vs scalar playouts,"
+        f" hex11 playouts {hex_playouts:.2f}x vs reference,"
         f" host_phases {', '.join(schemes)}"
     )
     if baseline is not None:
