@@ -7,9 +7,10 @@
 //! 1. **Raw playouts** — allocation-free `random_playout` on one core,
 //!    on Reversi and on Hex 11×11. The Hex record times the engine
 //!    against the list-and-flood reference playout
-//!    (`pmcts_bench::hex_reference`) on the same roots and streams,
-//!    asserted equal first; the summary's
-//!    `hex_playout_speedup_vs_reference` is gated at ≥ 2.0x.
+//!    (`pmcts_bench::hex_reference`) and against 8-lane `LaneBatch`
+//!    batches, on the same roots and streams, asserted equal first; the
+//!    summary's `hex_playout_speedup_vs_reference` is gated at ≥ 2.0x, and
+//!    `hex_lanes_speedup_vs_scalar` at ≥ 2.0x where the AVX-512 loop ran.
 //! 2. **Kernel simulation** — the same launch executed by the retained
 //!    per-step lockstep interpreter (`execute_kernel_lockstep`, the
 //!    pre-optimisation engine and correctness oracle) and by the
@@ -122,6 +123,11 @@ const HEX_STREAMS: u64 = 0x4E11;
 /// fastest round.
 const HEX_ROUNDS: u32 = 3;
 
+/// The stream of `hex_playouts` playout `j`.
+fn hex_stream(seed: u64, j: u64) -> Xoshiro256pp {
+    Xoshiro256pp::derive(seed ^ HEX_STREAMS, j)
+}
+
 /// `playouts` Hex 11×11 playouts round-robin over `roots`, playout `j` on
 /// its own derived stream, by `play`: (checksum, plies, wall_ns).
 fn time_hex_playouts(
@@ -134,27 +140,50 @@ fn time_hex_playouts(
     let mut plies = 0u64;
     let start = Instant::now();
     for j in 0..playouts {
-        let mut rng = Xoshiro256pp::derive(seed ^ HEX_STREAMS, j);
-        let r = play(&roots[(j % HEX_ROOTS) as usize], &mut rng);
+        let r = play(&roots[(j % HEX_ROOTS) as usize], &mut hex_stream(seed, j));
         plies += u64::from(r.plies);
         checksum = fold_playout(checksum, &r);
     }
     (checksum, plies, start.elapsed().as_nanos() as u64)
 }
 
-/// Single-core Hex 11×11 playout throughput (the `games.playout` layer):
-/// `random_playout::<Hex11>` against the list-and-flood reference on the
-/// same roots and streams. Both are asserted equal first, results and
-/// final streams included; then the two alternate for [`HEX_ROUNDS`]
-/// rounds and each keeps its fastest. Returns the record plus the
-/// engine's speedup over the reference.
-fn bench_hex_playouts(playouts: u64, seed: u64) -> (JsonObject, f64) {
+/// The same playouts as [`time_hex_playouts`], as `LaneBatch<Hex11, 8>`
+/// batches of 8 consecutive playouts (`playouts` a multiple of 8):
+/// (checksum, plies, wall_ns).
+fn time_hex_lanes(roots: &[Hex11], playouts: u64, seed: u64) -> (u64, u64, u64) {
+    assert_eq!(playouts % 8, 0, "hex lane batches are whole");
+    let mut checksum = 0u64;
+    let mut plies = 0u64;
+    let start = Instant::now();
+    for first in (0..playouts).step_by(8) {
+        let j = |i: usize| first + i as u64;
+        let batch = pmcts_games::LaneBatch::<Hex11, 8>::new(
+            std::array::from_fn(|i| roots[(j(i) % HEX_ROOTS) as usize]),
+            std::array::from_fn(|i| hex_stream(seed, j(i))),
+        );
+        for r in batch.run() {
+            plies += u64::from(r.plies);
+            checksum = fold_playout(checksum, &r);
+        }
+    }
+    (checksum, plies, start.elapsed().as_nanos() as u64)
+}
+
+/// Single-core Hex 11×11 playout throughput (the `games.playout` and
+/// `games.lane_batch` layers): `random_playout::<Hex11>` against the
+/// list-and-flood reference and against `LaneBatch<Hex11, 8>` on the same
+/// roots and streams. The reference is asserted equal to the engine
+/// first, results and final streams included; then the three alternate
+/// for [`HEX_ROUNDS`] rounds, every round asserting equal checksums, and
+/// each keeps its fastest. Returns the record plus the engine's speedup
+/// over the reference and the lane batches' speedup over the engine.
+fn bench_hex_playouts(playouts: u64, seed: u64) -> (JsonObject, f64, f64) {
     let roots: Vec<Hex11> = (0..HEX_ROOTS)
         .map(|i| midgame_position_of(seed ^ i, 4 * i as u32))
         .collect();
     for j in 0..16 * HEX_ROOTS {
         let root = roots[(j % HEX_ROOTS) as usize];
-        let mut engine = Xoshiro256pp::derive(seed ^ HEX_STREAMS, j);
+        let mut engine = hex_stream(seed, j);
         let mut reference = engine.clone();
         assert_eq!(
             pmcts_games::random_playout(root, &mut engine),
@@ -163,9 +192,10 @@ fn bench_hex_playouts(playouts: u64, seed: u64) -> (JsonObject, f64) {
         );
         assert_eq!(engine, reference, "hex playout {j}: final stream diverged");
     }
-    let mut best = (u64::MAX, u64::MAX);
+    let mut best = (u64::MAX, u64::MAX, u64::MAX);
     let mut sums = None;
     let mut reference_checksum = 0;
+    let mut lanes_checksum = 0;
     for _ in 0..HEX_ROUNDS {
         let (ref_sum, ref_plies, ref_ns) =
             time_hex_playouts(&roots, playouts, seed, |root, rng| {
@@ -174,17 +204,29 @@ fn bench_hex_playouts(playouts: u64, seed: u64) -> (JsonObject, f64) {
         let (sum, plies, ns) = time_hex_playouts(&roots, playouts, seed, |root, rng| {
             pmcts_games::random_playout(*root, rng)
         });
+        let (lanes_sum, lanes_plies, lanes_ns) = time_hex_lanes(&roots, playouts, seed);
         assert_eq!((sum, plies), (ref_sum, ref_plies), "hex playouts diverged");
+        assert_eq!(
+            (sum, plies),
+            (lanes_sum, lanes_plies),
+            "hex lane playouts diverged"
+        );
         assert!(
             sums.is_none_or(|s| s == (sum, plies)),
             "hex playouts nondeterministic"
         );
         sums = Some((sum, plies));
         reference_checksum = ref_sum;
-        best = (best.0.min(ns), best.1.min(ref_ns));
+        lanes_checksum = lanes_sum;
+        best = (best.0.min(ns), best.1.min(ref_ns), best.2.min(lanes_ns));
     }
     let (checksum, plies) = sums.expect("at least one round");
-    let (wall_ns, reference_wall_ns) = best;
+    let (wall_ns, reference_wall_ns, lanes_wall_ns) = best;
+    let lane_variant = if pmcts_games::hex::vector_loop_available() {
+        "avx512_loop"
+    } else {
+        "scalar"
+    };
     let record = JsonObject::new()
         .str_field("record", "hex_playouts")
         .str_field("game", "hex11")
@@ -199,11 +241,17 @@ fn bench_hex_playouts(playouts: u64, seed: u64) -> (JsonObject, f64) {
             "reference_playouts_per_sec",
             rate(playouts, reference_wall_ns),
         )
+        .u64_field("lanes_wall_ns", lanes_wall_ns)
+        .f64_field("lanes_playouts_per_sec", rate(playouts, lanes_wall_ns))
+        .str_field("lane_variant", lane_variant)
         .u64_field("checksum", checksum)
-        .u64_field("reference_checksum", reference_checksum);
+        .u64_field("reference_checksum", reference_checksum)
+        .u64_field("lanes_checksum", lanes_checksum);
+    let engine_rate = rate(playouts, wall_ns);
     (
         record,
-        rate(playouts, wall_ns) / rate(playouts, reference_wall_ns),
+        engine_rate / rate(playouts, reference_wall_ns),
+        rate(playouts, lanes_wall_ns) / engine_rate,
     )
 }
 
@@ -892,7 +940,7 @@ fn main() {
     let (rec, lanes8_rate) = bench_playout_lanes::<8>(position, cpu_playouts, args.seed);
     records.push(rec);
     let playout_lanes_speedup = lanes8_rate / cpu_playout_rate;
-    let (rec, hex_playout_speedup) = bench_hex_playouts(cpu_playouts, args.seed);
+    let (rec, hex_playout_speedup, hex_lanes_speedup) = bench_hex_playouts(cpu_playouts, args.seed);
     records.push(rec);
 
     let (rec, legacy_rate) = bench_engine("legacy_lockstep", &kernels, launch, |k| {
@@ -1060,6 +1108,7 @@ fn main() {
         .f64_field("kernel_speedup_vs_lockstep_1_thread", speedup_1t)
         .f64_field("playout_lanes_speedup_vs_scalar", playout_lanes_speedup)
         .f64_field("hex_playout_speedup_vs_reference", hex_playout_speedup)
+        .f64_field("hex_lanes_speedup_vs_scalar", hex_lanes_speedup)
         .f64_field("tree_ops_select_speedup_vs_aos", sel_speedup)
         .f64_field("tree_ops_expand_speedup_vs_aos", exp_speedup)
         .f64_field("tree_ops_backprop_speedup_vs_aos", bp_speedup)
@@ -1083,6 +1132,7 @@ fn main() {
     );
     eprintln!("playout lanes (8-wide) vs scalar playouts: {playout_lanes_speedup:.2}x");
     eprintln!("hex11 playouts vs list-and-flood reference: {hex_playout_speedup:.2}x");
+    eprintln!("hex11 lane batches (8-wide) vs scalar playouts: {hex_lanes_speedup:.2}x");
     eprintln!(
         "SoA tree speedup vs AoS baseline: select {sel_speedup:.2}x, \
          expand {exp_speedup:.2}x, backprop {bp_speedup:.2}x"

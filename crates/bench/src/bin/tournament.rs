@@ -99,10 +99,10 @@ fn entrants(seed: u64) -> Vec<Entrant<Reversi>> {
 }
 
 /// Smaller Hex 11×11 arena: the sequential baseline against the two
-/// single-device GPU schemes. Hex has no lane engine, so its scalar
-/// playouts (`hex_playouts` in `BENCH_throughput.json`) cost several times
-/// the wall time of Reversi's 8-lane batches (`playout_lanes`), and the
-/// quick config keeps the pairing count down.
+/// single-device GPU schemes. A Hex playout still costs more wall time
+/// than a Reversi one, in 8-lane batches too (`hex_playouts` against
+/// `playout_lanes` in `BENCH_throughput.json`), so the quick config keeps
+/// the pairing count down.
 fn hex11_entrants(seed: u64) -> Vec<Entrant<Hex11>> {
     vec![
         Entrant {

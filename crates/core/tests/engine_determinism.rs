@@ -182,9 +182,11 @@ fn hex11_searches_identical_across_host_threads_and_pinned() {
     // The Hex 11×11 scenario coverage added alongside the lane engine
     // (fault-matrix + arena entries): the generic engines must be
     // host-thread-invariant on the branchier non-Reversi game too, and the
-    // fingerprints are pinned so future lane-engine changes can't drift
-    // them (Hex opts out of lane batching — `Game::LANE_ENGINE` is false —
-    // so these pin the scalar `run_lanes` fallback path).
+    // fingerprints are pinned so lane-engine changes can't drift them.
+    // Hex batches its warps (`Game::LANE_ENGINE` is true), so these pin
+    // `run_lanes` through `play_lanes` and Hex's 8-lane batches — the
+    // AVX-512 loop where the host has it — at the values the scalar path
+    // produced before Hex batched.
     type Build = fn(usize) -> Box<dyn Searcher<Hex11>>;
     fn leaf(t: usize) -> Box<dyn Searcher<Hex11>> {
         Box::new(LeafParallelSearcher::new(

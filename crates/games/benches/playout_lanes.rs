@@ -1,6 +1,8 @@
 //! Criterion microbenches for the multi-lane playout engine (DESIGN.md §15):
 //! scalar `random_playout` vs `LaneBatch` at widths 4 and 8, on Reversi
-//! (bit-parallel lane kernels) and Hex11 (generic interleaved engine).
+//! and Hex11. Both games' batches of 8 run as one AVX-512 loop on hosts
+//! that have it; Reversi's width 4 runs its per-ply lane kernels, Hex's
+//! one scalar playout per lane.
 //!
 //! Throughput is reported per *playout*, so a lane width is a win exactly
 //! when its number beats the scalar bench's.

@@ -87,13 +87,13 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
     const MAX_GAME_LENGTH: usize;
 
     /// Whether [`lane_playouts`](Game::lane_playouts) is a measured
-    /// wall-clock win over scalar playouts for this game.
+    /// wall-clock win over scalar playouts for this game (Reversi, Hex).
     /// [`play_lanes`](crate::playout::play_lanes) only batches lanes when
     /// this is set, and its three callers route through it: the playout
     /// kernel's warps, the device-resident blocks of one pool task and a
-    /// group of root-parallel trees. Games on the generic interleaved
-    /// engine keep the scalar path (the round-robin bookkeeping costs more
-    /// than its ILP buys there). Both paths are bit-identical, so the flag
+    /// group of root-parallel trees. Games on the default `lane_playouts`
+    /// keep the scalar path, which is the same work without the padded
+    /// lanes of a partial batch. Both paths are bit-identical, so the flag
     /// is pure routing.
     const LANE_ENGINE: bool = false;
 
@@ -189,11 +189,11 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
     /// This is the batch entry point behind
     /// [`LaneBatch`](crate::playout::LaneBatch). The streams are the one
     /// generator type `LaneBatch` holds, so an override may keep their
-    /// state in vector registers. The default is the interleaved scalar
-    /// engine; games with bit-parallel kernels (Reversi) override it to
-    /// advance all lanes through straight-line bitboard code. **Overrides
-    /// must be bit-identical to `N` scalar
-    /// [`random_playout`](crate::playout::random_playout) calls** — same
+    /// state in vector registers. The default plays one scalar
+    /// [`random_playout`](crate::playout::random_playout) per lane; games
+    /// with bit-parallel kernels (Reversi, Hex) override it to advance all
+    /// lanes through straight-line bitboard code. **Overrides must be
+    /// bit-identical to `N` scalar `random_playout` calls** — same
     /// results, same per-lane RNG draw sequences, same ply counts — so
     /// lane batching never changes virtual-time results (DESIGN.md §15).
     #[inline]
@@ -201,7 +201,7 @@ pub trait Game: Copy + Clone + PartialEq + Send + Sync + std::fmt::Debug + 'stat
         roots: &[Self; N],
         rngs: &mut [Xoshiro256pp; N],
     ) -> [crate::playout::PlayoutResult; N] {
-        crate::playout::interleaved_lane_playouts(roots, rngs)
+        std::array::from_fn(|i| crate::playout::random_playout(roots[i], &mut rngs[i]))
     }
 }
 

@@ -20,11 +20,23 @@
 //!   grows that set by a flood fill through the mover's stones; the mover
 //!   has won iff its anchored stones reach the far edge. Every other ply
 //!   costs one mask test, and each fill step anchors at least one stone.
+//!
+//! Lane batches of 8 ([`Game::lane_playouts`], DESIGN.md §15) run the
+//! same rules as one AVX-512 loop where the host has AVX-512F, VPOPCNTDQ,
+//! VBMI2 and BMI2 (`hex/lanes.rs`): each lane's stones and anchored sets
+//! as low/high word vectors, the same draw and `pdep` pick, and a masked
+//! six-direction flood of the anchored sets. Elsewhere each lane is one
+//! scalar playout.
 
 use crate::game::{Game, MoveBuf, Outcome, Player};
+use crate::playout::PlayoutResult;
 use crate::reversi::bitboard::select_bit;
 use crate::zobrist;
-use pmcts_util::Rng64;
+use pmcts_util::{Rng64, Xoshiro256pp};
+
+mod lanes;
+
+pub use lanes::vector_loop_available;
 
 /// Zobrist key domain tag; the board size is mixed in so different `Hex<N>`
 /// instantiations never share keys. Indices are `player * N² + cell`; no
@@ -245,6 +257,12 @@ impl<const N: usize> Game for Hex<N> {
     const NAME: &'static str = "hex";
     const MAX_GAME_LENGTH: usize = N * N;
 
+    // The 8-lane AVX-512 `lane_playouts` below is a measured win: the
+    // `throughput` bin's `hex_playouts` record times it against scalar
+    // playouts, and `check_bench.py` gates the ratio at >= 2.0 where the
+    // loop runs.
+    const LANE_ENGINE: bool = true;
+
     fn initial() -> Self {
         assert!(N >= 2 && N * N <= 128, "unsupported Hex size");
         Hex {
@@ -370,6 +388,16 @@ impl<const N: usize> Game for Hex<N> {
             return Some(unsafe { pick_pdep(empty, rng) });
         }
         Some(select_portable(empty, rng.next_below(empty.count_ones())))
+    }
+
+    /// Lane playouts (DESIGN.md §15), bit-identical to `L` scalar
+    /// playouts: at `L = 8` on AVX-512 hosts one vector loop
+    /// (`hex/lanes.rs`), elsewhere one scalar playout per lane.
+    fn lane_playouts<const L: usize>(
+        roots: &[Self; L],
+        rngs: &mut [Xoshiro256pp; L],
+    ) -> [PlayoutResult; L] {
+        lanes::lane_playouts(roots, rngs)
     }
 }
 

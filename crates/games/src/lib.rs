@@ -12,12 +12,14 @@
 //! * [`tictactoe`] — exactly solvable; used by the test suite to verify that
 //!   the searchers converge to game-theoretically optimal moves.
 //! * [`hex`] — Hex on an N×N rhombus (no draws; win detection from an
-//!   incrementally kept set of edge-anchored stones), exercising a game
-//!   with a much larger branching factor.
+//!   incrementally kept set of edge-anchored stones; 8 playouts as one
+//!   AVX-512 loop), exercising a game with a much larger branching factor.
 //!
 //! The [`playout`] module implements the random simulation step shared by
 //! every MCTS variant in `pmcts-core`.
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 pub mod connect4;
 pub mod game;
 pub mod hex;
@@ -30,9 +32,7 @@ pub mod zobrist;
 pub use connect4::Connect4;
 pub use game::{Game, MoveBuf, Outcome, Player};
 pub use hex::{Hex, Hex11, Hex5, Hex7};
-pub use playout::{
-    interleaved_lane_playouts, play_lanes, random_playout, LaneBatch, PlayoutResult, LANE_WIDTH,
-};
+pub use playout::{play_lanes, random_playout, LaneBatch, PlayoutResult, LANE_WIDTH};
 pub use policy::{policy_playout, PlayoutPolicy, ReversiCornerPolicy, UniformPolicy};
 pub use reversi::{Reversi, ReversiMove};
 pub use tictactoe::TicTacToe;

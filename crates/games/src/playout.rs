@@ -47,12 +47,7 @@ pub fn random_playout<G: Game, R: Rng64>(mut state: G, rng: &mut R) -> PlayoutRe
     while let Some(mv) = state.random_move_with(rng, &mut buf) {
         state.apply(mv);
         plies += 1;
-        assert!(
-            plies as usize <= G::MAX_GAME_LENGTH,
-            "{} playout exceeded MAX_GAME_LENGTH={}",
-            G::NAME,
-            G::MAX_GAME_LENGTH
-        );
+        check_length::<G>(plies);
     }
     let outcome = state
         .outcome()
@@ -64,13 +59,25 @@ pub fn random_playout<G: Game, R: Rng64>(mut state: G, rng: &mut R) -> PlayoutRe
     }
 }
 
+/// The playout's guard against a rules bug (e.g. an endless pass loop),
+/// shared with the lane kernels so every path panics alike.
+#[inline]
+pub(crate) fn check_length<G: Game>(plies: u32) {
+    assert!(
+        plies as usize <= G::MAX_GAME_LENGTH,
+        "{} playout exceeded MAX_GAME_LENGTH={}",
+        G::NAME,
+        G::MAX_GAME_LENGTH
+    );
+}
+
 /// A batch of `N` independent playout lanes advanced together.
 ///
 /// This is the wall-clock fast path for the ~10⁵/s playout hot loop: `N`
-/// boards, `N` RNG streams, and `N` fixed-capacity move buffers move in
-/// lock-step, so game engines with bit-parallel kernels (Reversi) can
-/// compute move masks and flip masks for all lanes back-to-back as
-/// straight-line u64 code instead of one board at a time.
+/// boards and `N` RNG streams move in lock-step, so game engines with
+/// bit-parallel kernels (Reversi, Hex) can advance all lanes back-to-back
+/// — at `N = 8` on AVX-512 hosts, as one vector loop — instead of one
+/// board at a time.
 ///
 /// **Equivalence contract** (DESIGN.md §15): running a batch is
 /// bit-identical to running `N` scalar [`random_playout`] calls, lane `i`
@@ -95,8 +102,8 @@ impl<G: Game, const N: usize> LaneBatch<G, N> {
     }
 
     /// Runs every lane to completion via the game's lane engine
-    /// ([`Game::lane_playouts`] — bit-parallel for Reversi, interleaved
-    /// scalar otherwise).
+    /// ([`Game::lane_playouts`] — bit-parallel for Reversi and Hex, one
+    /// scalar playout per lane otherwise).
     pub fn run(mut self) -> [PlayoutResult; N] {
         G::lane_playouts(&self.roots, &mut self.rngs)
     }
@@ -159,59 +166,19 @@ pub fn play_lanes<G: Game>(
     }
 }
 
-/// The generic interleaved lane engine — the default body of
-/// [`Game::lane_playouts`].
-///
-/// Round-robin: each pass advances every unfinished lane by one ply via
-/// [`Game::random_move_with`] on that lane's own buffer and RNG. Because
-/// the lanes' RNG streams are independent, interleaving plies across lanes
-/// is trivially bit-identical to running the lanes one after another; the
-/// win is instruction-level parallelism from `N` independent
-/// move-gen/apply dependency chains in flight at once.
-///
-/// # Panics
-/// Panics if any lane exceeds [`Game::MAX_GAME_LENGTH`] plies, exactly
-/// like [`random_playout`].
-pub fn interleaved_lane_playouts<G: Game, R: Rng64, const N: usize>(
-    roots: &[G; N],
-    rngs: &mut [R; N],
-) -> [PlayoutResult; N] {
-    let mut states = *roots;
-    let mut bufs: [MoveBuf<G::Move>; N] = std::array::from_fn(|_| MoveBuf::new());
-    let mut plies = [0u32; N];
-    let mut results: [Option<PlayoutResult>; N] = [None; N];
-    let mut live = N;
-    while live > 0 {
-        for i in 0..N {
-            if results[i].is_some() {
-                continue;
-            }
-            match states[i].random_move_with(&mut rngs[i], &mut bufs[i]) {
-                Some(mv) => {
-                    states[i].apply(mv);
-                    plies[i] += 1;
-                    assert!(
-                        plies[i] as usize <= G::MAX_GAME_LENGTH,
-                        "{} playout exceeded MAX_GAME_LENGTH={}",
-                        G::NAME,
-                        G::MAX_GAME_LENGTH
-                    );
-                }
-                None => {
-                    let outcome = states[i]
-                        .outcome()
-                        .expect("state without a legal move is terminal");
-                    results[i] = Some(PlayoutResult {
-                        outcome,
-                        plies: plies[i],
-                        final_score: states[i].score(),
-                    });
-                    live -= 1;
-                }
-            }
-        }
-    }
-    results.map(|r| r.expect("all lanes ran to completion"))
+/// A stream whose next output is `target`, for tests that steer a draw:
+/// xoshiro256++ outputs `rotl(s0 + s3, 23) + s0`, so
+/// `s3 = rotr(target − s0, 23) − s0`.
+#[cfg(test)]
+pub(crate) fn stream_with_next_output(
+    target: u64,
+    gen: &mut pmcts_util::SplitMix64,
+) -> Xoshiro256pp {
+    let s0 = gen.next_u64();
+    let s3 = target.wrapping_sub(s0).rotate_right(23).wrapping_sub(s0);
+    let rng = Xoshiro256pp::from_state([s0, gen.next_u64(), gen.next_u64(), s3]);
+    assert_eq!(rng.clone().next_u64(), target);
+    rng
 }
 
 /// Runs `n` playouts and returns the number of wins for `perspective`

@@ -484,9 +484,8 @@ mod lanes_avx2 {
 pub(crate) mod lanes_avx512 {
     use super::{NOT_A_FILE, NOT_H_FILE};
     use core::arch::x86_64::{
-        __m512i, _mm512_and_si512, _mm512_loadu_si512, _mm512_mask_or_epi64, _mm512_set1_epi64,
-        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512,
-        _mm512_ternarylogic_epi64, _mm512_test_epi64_mask,
+        __m512i, _mm512_and_si512, _mm512_mask_or_epi64, _mm512_set1_epi64, _mm512_setzero_si512,
+        _mm512_slli_epi64, _mm512_srli_epi64, _mm512_ternarylogic_epi64, _mm512_test_epi64_mask,
     };
 
     /// `vpternlogq` immediate for `a | (b & c)`.
@@ -606,24 +605,6 @@ pub(crate) mod lanes_avx512 {
         }
         for_each_direction!(dir);
         flips
-    }
-
-    /// Loads 8 lanes.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    pub(crate) fn load(a: &[u64; 8]) -> __m512i {
-        // SAFETY: `a` is 64 readable bytes; loadu has no alignment requirement.
-        unsafe { _mm512_loadu_si512(a.as_ptr().cast()) }
-    }
-
-    /// Stores 8 lanes.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    pub(crate) fn store(v: __m512i) -> [u64; 8] {
-        let mut a = [0u64; 8];
-        // SAFETY: `a` is 64 writable bytes; storeu has no alignment requirement.
-        unsafe { _mm512_storeu_si512(a.as_mut_ptr().cast(), v) };
-        a
     }
 }
 
@@ -828,12 +809,12 @@ mod tests {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 #[target_feature(enable = "avx512f")]
                 fn movegen(own: &[u64; 8], opp: &[u64; 8]) -> [u64; 8] {
-                    use lanes_avx512::{load, store};
+                    use crate::avx512::{load, store};
                     store(lanes_avx512::movegen8(load(own), load(opp)))
                 }
                 #[target_feature(enable = "avx512f")]
                 fn flips(own: &[u64; 8], opp: &[u64; 8], sq: &[u8; 8]) -> [u64; 8] {
-                    use lanes_avx512::{load, store};
+                    use crate::avx512::{load, store};
                     let mv = sq.map(|s| 1u64 << s);
                     store(lanes_avx512::flips8(load(own), load(opp), load(&mv)))
                 }

@@ -13,8 +13,8 @@
 
 use super::bitboard;
 use super::Reversi;
-use crate::game::{Game, Outcome, Player};
-use crate::playout::PlayoutResult;
+use crate::game::{Outcome, Player};
+use crate::playout::{check_length, PlayoutResult};
 use pmcts_util::{Rng64, Xoshiro256pp};
 
 /// Runs the batch on the fastest variant this host supports, chosen once
@@ -111,7 +111,7 @@ fn per_ply<const N: usize>(
                 std::mem::swap(&mut own[i], &mut opp[i]);
                 own_is_black[i] = !own_is_black[i];
                 plies[i] += 1;
-                check_length(plies[i]);
+                check_length::<Reversi>(plies[i]);
             } else {
                 results[i] = Some(finish(own[i], opp[i], own_is_black[i], plies[i]));
                 live -= 1;
@@ -136,38 +136,28 @@ fn per_ply<const N: usize>(
             opp[i] = moved;
             own_is_black[i] = !own_is_black[i];
             plies[i] += 1;
-            check_length(plies[i]);
+            check_length::<Reversi>(plies[i]);
         }
     }
     results.map(|r| r.expect("all lanes ran to completion"))
 }
 
-/// The scalar playout's guard against a rules bug (an endless pass loop).
-fn check_length(plies: u32) {
-    assert!(
-        plies as usize <= Reversi::MAX_GAME_LENGTH,
-        "{} playout exceeded MAX_GAME_LENGTH={}",
-        Reversi::NAME,
-        Reversi::MAX_GAME_LENGTH
-    );
-}
-
 /// The whole-loop variant: one batch of 8 in one out-of-line function.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{check_length, finish, Reversi};
-    use crate::game::{Game, Player};
-    use crate::playout::PlayoutResult;
-    use crate::reversi::bitboard::lanes_avx512::{flips8, load, movegen8, store};
-    use core::arch::x86_64::{
-        __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpgt_epu64_mask,
-        _mm512_mask_add_epi64, _mm512_mask_andnot_epi64, _mm512_mask_cmplt_epu64_mask,
-        _mm512_mask_mov_epi64, _mm512_mask_rol_epi64, _mm512_mask_test_epi64_mask,
-        _mm512_mask_xor_epi64, _mm512_mul_epu32, _mm512_popcnt_epi64, _mm512_rol_epi64,
-        _mm512_set1_epi64, _mm512_setzero_si512, _mm512_slli_epi64, _mm512_sllv_epi64,
-        _mm512_srli_epi64, _mm512_ternarylogic_epi64, _pdep_u64,
+    use super::{finish, Reversi};
+    use crate::avx512::{
+        check_lengths, load, load_streams, next_below8, pdep8, store, store_streams,
     };
-    use pmcts_util::{Rng64, Xoshiro256pp};
+    use crate::game::Player;
+    use crate::playout::PlayoutResult;
+    use crate::reversi::bitboard::lanes_avx512::{flips8, movegen8};
+    use core::arch::x86_64::{
+        __mmask8, _mm512_mask_add_epi64, _mm512_mask_andnot_epi64, _mm512_mask_mov_epi64,
+        _mm512_mask_test_epi64_mask, _mm512_popcnt_epi64, _mm512_set1_epi64, _mm512_setzero_si512,
+        _mm512_sllv_epi64, _mm512_ternarylogic_epi64,
+    };
+    use pmcts_util::Xoshiro256pp;
 
     /// `vpternlogq` immediate for `a | b | c`.
     const OR3: i32 = 0xFE;
@@ -179,89 +169,6 @@ mod avx512 {
             && is_x86_feature_detected!("bmi2")
     }
 
-    /// One xoshiro256++ step ([`Xoshiro256pp::next_u64`]) on the lanes in
-    /// `k`, whose outputs it returns; the other lanes' states stay put and
-    /// their outputs are garbage.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    pub(super) fn xoshiro_step(s: &mut [__m512i; 4], k: __mmask8) -> __m512i {
-        let [s0, s1, s2, s3] = *s;
-        let out = _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
-        let t = _mm512_slli_epi64(s1, 17);
-        let s2 = _mm512_mask_xor_epi64(s2, k, s2, s0);
-        let s3 = _mm512_mask_xor_epi64(s3, k, s3, s1);
-        let s1 = _mm512_mask_xor_epi64(s1, k, s1, s2);
-        let s0 = _mm512_mask_xor_epi64(s0, k, s0, s3);
-        let s2 = _mm512_mask_xor_epi64(s2, k, s2, t);
-        let s3 = _mm512_mask_rol_epi64(s3, k, s3, 45);
-        *s = [s0, s1, s2, s3];
-        out
-    }
-
-    /// The state words of 8 streams, one vector per word.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    pub(super) fn load_streams(rngs: &[Xoshiro256pp; 8]) -> [__m512i; 4] {
-        let states = rngs.each_ref().map(Xoshiro256pp::state);
-        let word = |w: usize| std::array::from_fn(|i| states[i][w]);
-        [
-            load(&word(0)),
-            load(&word(1)),
-            load(&word(2)),
-            load(&word(3)),
-        ]
-    }
-
-    /// The 8 streams whose state words `s` holds.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    pub(super) fn store_streams(s: &[__m512i; 4]) -> [Xoshiro256pp; 8] {
-        let words = [store(s[0]), store(s[1]), store(s[2]), store(s[3])];
-        std::array::from_fn(|i| Xoshiro256pp::from_state(words.map(|word| word[i])))
-    }
-
-    /// Redoes the draws of the lanes in `rare` — those whose first draw hit
-    /// Lemire's `lo < bound` branch — with the scalar
-    /// [`Rng64::next_below`] from their pre-draw states `pre`, so the
-    /// rejection rule has one definition. Writes those lanes' final states
-    /// into `s` and returns the picks `k` with their lanes replaced.
-    #[target_feature(enable = "avx512f")]
-    #[cold]
-    fn redraw(
-        rare: __mmask8,
-        pre: &[__m512i; 4],
-        s: &mut [__m512i; 4],
-        k: __m512i,
-        bound: __m512i,
-    ) -> __m512i {
-        let pre = store_streams(pre);
-        let mut post = store_streams(s);
-        let mut k = store(k);
-        let bound = store(bound);
-        for i in (0..8).filter(|i| rare >> i & 1 != 0) {
-            post[i] = pre[i].clone();
-            k[i] = u64::from(post[i].next_below(bound[i] as u32));
-        }
-        *s = load_streams(&post);
-        load(&k)
-    }
-
-    /// `pdep(pick, mask)` per lane: the `k`-th set bit of each legal-move
-    /// mask, given `pick = 1 << k`. `pdep` has no vector form, and runs only
-    /// in this variant: every host with AVX-512 executes it in hardware,
-    /// while AMD cores before Zen 3 microcode it.
-    #[target_feature(enable = "avx512f,bmi2")]
-    #[inline]
-    fn pdep8(pick: __m512i, masks: __m512i) -> __m512i {
-        let pick = store(pick);
-        let masks = store(masks);
-        let mut bits = [0u64; 8];
-        for i in 0..8 {
-            bits[i] = _pdep_u64(pick[i], masks[i]);
-        }
-        load(&bits)
-    }
-
     /// Runs 8 playouts to the end. Per round, on the mover-relative boards
     /// of all 8 lanes:
     ///
@@ -269,10 +176,8 @@ mod avx512 {
     ///    round's movers;
     /// 2. a live lane without one passes if its opponent can move, and is
     ///    otherwise finished (neither draws);
-    /// 3. the movers' xoshiro256++ states step under the mover mask, each
-    ///    draw is bounded by the mask's popcount with Lemire's multiply
-    ///    (`vpmuludq`), and the rare `lo < bound` lanes redo their draw in
-    ///    [`redraw`];
+    /// 3. each mover draws `next_below(popcount(mask))` from its stream
+    ///    ([`next_below8`]);
     /// 4. `pdep` turns each pick into its move bit, [`flips8`] resolves the
     ///    flips, and masked moves apply the movers' plies.
     #[target_feature(enable = "avx512f,avx512vpopcntdq,bmi2")]
@@ -292,8 +197,6 @@ mod avx512 {
         let mut s = load_streams(rngs);
         let mut plies = _mm512_setzero_si512();
         let one = _mm512_set1_epi64(1);
-        let low_word = _mm512_set1_epi64(u32::MAX.into());
-        let max_plies = _mm512_set1_epi64(Reversi::MAX_GAME_LENGTH as i64);
         let mut live: __mmask8 = 0xFF;
         while live != 0 {
             let masks = movegen8(own, opp);
@@ -310,17 +213,7 @@ mod avx512 {
                 );
             }
             if movers != 0 {
-                let pre = s;
-                let x = xoshiro_step(&mut s, movers);
-                let bound = _mm512_popcnt_epi64(masks);
-                // Lemire: k = (x · bound) >> 32 on the low output word.
-                let m = _mm512_mul_epu32(x, bound);
-                let mut k = _mm512_srli_epi64(m, 32);
-                let lo = _mm512_and_si512(m, low_word);
-                let rare = _mm512_mask_cmplt_epu64_mask(movers, lo, bound);
-                if rare != 0 {
-                    k = redraw(rare, &pre, &mut s, k, bound);
-                }
+                let k = next_below8(&mut s, movers, _mm512_popcnt_epi64(masks));
                 let mv = pdep8(_mm512_sllv_epi64(one, k), masks);
                 let f = flips8(own, opp, mv);
                 // The next mover's discs are the old opponent's minus the
@@ -333,9 +226,7 @@ mod avx512 {
             let played = movers | passers;
             plies = _mm512_mask_add_epi64(plies, played, plies, one);
             own_is_black ^= played;
-            if _mm512_cmpgt_epu64_mask(plies, max_plies) != 0 {
-                check_length(store(plies).into_iter().max().unwrap_or(0) as u32);
-            }
+            check_lengths::<Reversi>(plies);
         }
         *rngs = store_streams(&s);
         let (own, opp, plies) = (store(own), store(opp), store(plies));
@@ -346,7 +237,8 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::playout::random_playout;
+    use crate::game::Game;
+    use crate::playout::{random_playout, stream_with_next_output};
     use pmcts_util::SplitMix64;
 
     /// Whether the whole-loop variant can run here; prints which variants
@@ -469,16 +361,6 @@ mod tests {
         }
     }
 
-    /// A stream whose next output is `target`: xoshiro256++ outputs
-    /// `rotl(s0 + s3, 23) + s0`, so `s3 = rotr(target − s0, 23) − s0`.
-    fn stream_with_next_output(target: u64, gen: &mut SplitMix64) -> Xoshiro256pp {
-        let s0 = gen.next_u64();
-        let s3 = target.wrapping_sub(s0).rotate_right(23).wrapping_sub(s0);
-        let rng = Xoshiro256pp::from_state([s0, gen.next_u64(), gen.next_u64(), s3]);
-        assert_eq!(rng.clone().next_u64(), target);
-        rng
-    }
-
     /// Lemire's `lo < bound` branch fires with probability bound/2³² per
     /// draw, so random tests never reach it. At a root with 3 legal moves
     /// the rejection threshold is 2³² mod 3 = 1: a low output word of 0
@@ -508,39 +390,6 @@ mod tests {
                 stream_with_next_output(gen.next_u64() << 32 | low, &mut gen)
             });
             assert_loops_match_scalar(&[root; 8], &rngs);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn vector_xoshiro_step_matches_next_u64() {
-        use crate::reversi::bitboard::lanes_avx512::store;
-        if !whole_loop_runs() {
-            return;
-        }
-        #[target_feature(enable = "avx512f")]
-        fn step(rngs: &mut [Xoshiro256pp; 8], k: u8) -> [u64; 8] {
-            let mut s = avx512::load_streams(rngs);
-            let out = avx512::xoshiro_step(&mut s, k);
-            *rngs = avx512::store_streams(&s);
-            store(out)
-        }
-        let mut gen = SplitMix64::new(26);
-        for _ in 0..1000 {
-            let mut scalar: [Xoshiro256pp; 8] = std::array::from_fn(|_| {
-                Xoshiro256pp::from_state(std::array::from_fn(|_| gen.next_u64()))
-            });
-            let mut vector = scalar.clone();
-            let k = gen.next_u64() as u8;
-            // SAFETY: `whole_loop_runs` checked avx512f.
-            let out = unsafe { step(&mut vector, k) };
-            for i in 0..8 {
-                let stepped = k >> i & 1 != 0;
-                if stepped {
-                    assert_eq!(out[i], scalar[i].next_u64(), "lane {i}: output");
-                }
-                assert_eq!(vector[i], scalar[i], "lane {i}: state (stepped: {stepped})");
-            }
         }
     }
 }

@@ -8,18 +8,18 @@
 //! sequence (Xoshiro256++ state is a bijection of the draw history from a
 //! fixed seed).
 //!
-//! Covered engines: Reversi (bit-parallel `lane_playouts` override),
-//! Connect-4 / Tic-Tac-Toe / Hex (generic interleaved default), at lane
-//! widths 1, 4 and 8, from varied playout prefixes, including batches with
-//! terminal roots mixed in. The [`play_lanes`] helper is held to the same
-//! contract at every lane count from 0 to 20, on Reversi (8-lane batches,
-//! the last one padded) and Hex 11×11 (scalar fallback). Reversi runs the
-//! variant this host dispatches; the unit tests in `reversi/lanes.rs` and
-//! `reversi/bitboard.rs` run each variant directly.
+//! Covered engines: Reversi and Hex (bit-parallel `lane_playouts`
+//! overrides), Connect-4 / Tic-Tac-Toe (the default, one scalar playout
+//! per lane), at lane widths 1, 4 and 8, from varied playout prefixes,
+//! including batches with terminal roots mixed in. The [`play_lanes`]
+//! helper is held to the same contract at every lane count from 0 to 20,
+//! on Reversi and Hex 11×11 (8-lane batches, the last one padded) and
+//! Connect-4 (scalar route). Reversi and Hex run the variant this host
+//! dispatches; the unit tests in `reversi/lanes.rs`, `reversi/bitboard.rs`
+//! and `hex/lanes.rs` run each variant directly.
 
 use pmcts_games::{
-    interleaved_lane_playouts, play_lanes, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch,
-    Player, Reversi, TicTacToe,
+    play_lanes, random_playout, Connect4, Game, Hex11, Hex7, LaneBatch, Player, Reversi, TicTacToe,
 };
 use pmcts_util::Xoshiro256pp;
 use proptest::prelude::*;
@@ -124,21 +124,6 @@ proptest! {
         }
         assert_batch_matches_scalar::<Reversi, 8>(roots, seeds);
     }
-
-    #[test]
-    fn interleaved_engine_matches_scalar_directly(seed in any::<u64>()) {
-        // The generic interleaved engine is also Reversi-correct (the
-        // bit-parallel override must agree with it, and both with scalar).
-        let roots: [Reversi; 4] =
-            std::array::from_fn(|i| advance(Reversi::initial(), (i as u32) * 11, seed ^ i as u64));
-        let mut rngs: [Xoshiro256pp; 4] =
-            std::array::from_fn(|i| Xoshiro256pp::new(seed.wrapping_add(i as u64)));
-        let interleaved = interleaved_lane_playouts(&roots, &mut rngs);
-        let batch: [Xoshiro256pp; 4] =
-            std::array::from_fn(|i| Xoshiro256pp::new(seed.wrapping_add(i as u64)));
-        let (bit_parallel, _) = LaneBatch::new(roots, batch).run_with_rngs();
-        prop_assert_eq!(interleaved, bit_parallel);
-    }
 }
 
 #[test]
@@ -234,17 +219,19 @@ proptest! {
     #[test]
     fn play_lanes_matches_scalar_on_every_lane_count(seed in any::<u64>(), terminal in any::<bool>()) {
         // 0–20 lanes: empty, partial single batches, exact batches and
-        // padded last batches. Reversi runs the lane engine, Hex11 the
-        // scalar fallback.
+        // padded last batches. Reversi and Hex11 run their lane engines,
+        // Connect-4 the scalar route.
         for n in 0..=20 {
             let (roots, seeds) = mixed_lanes::<Reversi>(seed, n, 50, terminal);
             assert_play_lanes_matches_scalar(&roots, &seeds);
             let (roots, seeds) = mixed_lanes::<Hex11>(seed, n, 100, terminal);
             assert_play_lanes_matches_scalar(&roots, &seeds);
+            let (roots, seeds) = mixed_lanes::<Connect4>(seed, n, 30, terminal);
+            assert_play_lanes_matches_scalar(&roots, &seeds);
         }
     }
 }
 
-// The helper test covers both routes: Reversi batches, Hex 11×11 runs
-// scalar.
-const _: () = assert!(Reversi::LANE_ENGINE && !Hex11::LANE_ENGINE);
+// The helper test covers both routes: Reversi and Hex 11×11 batch,
+// Connect-4 runs scalar.
+const _: () = assert!(Reversi::LANE_ENGINE && Hex11::LANE_ENGINE && !Connect4::LANE_ENGINE);

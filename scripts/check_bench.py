@@ -191,6 +191,12 @@ PLAYOUT_LANES_FIELDS = [
 # roots and streams: 4.8x on a 2-vCPU AVX-512 host with `pdep`, 3.4-3.9x
 # with the portable select, so 2.0 holds on hosts without BMI2 too.
 MIN_HEX_PLAYOUT_SPEEDUP = 2.0
+# The same Hex playouts as 8-lane LaneBatch batches against the scalar
+# engine: 2.8-3.2x for the AVX-512 loop on a 2-vCPU AVX-512 host. Gated
+# only where that loop ran (`lane_variant`), since CI runners may lack
+# AVX-512 and elsewhere each lane is one scalar playout.
+MIN_HEX_LANES_SPEEDUP = 2.0
+HEX_LANES_GATED_VARIANT = "avx512_loop"
 HEX_PLAYOUTS_FIELDS = [
     "roots",
     "rounds",
@@ -200,8 +206,12 @@ HEX_PLAYOUTS_FIELDS = [
     "playouts_per_sec",
     "reference_wall_ns",
     "reference_playouts_per_sec",
+    "lanes_wall_ns",
+    "lanes_playouts_per_sec",
+    "lane_variant",
     "checksum",
     "reference_checksum",
+    "lanes_checksum",
 ]
 DEFAULT_BASELINE_TOLERANCE = 0.75
 
@@ -368,9 +378,11 @@ def check_playout_lanes(path, data, summary):
 
 
 def check_hex_playouts(path, data, summary):
-    """The Hex 11x11 playout record: the engine and the list-and-flood
-    reference played the same playouts (equal checksums), and the engine
-    clears the gate margin over the reference."""
+    """The Hex 11x11 playout record: the engine, the list-and-flood
+    reference and the 8-lane batches played the same playouts (equal
+    checksums), the engine clears the gate margin over the reference, and
+    where the AVX-512 loop ran the lane batches clear theirs over the
+    engine. Returns both ratios and the lane variant."""
     rec = next((r for r in data if r.get("record") == "hex_playouts"), None)
     if rec is None:
         fail(f"{path}: no hex_playouts record")
@@ -382,6 +394,12 @@ def check_hex_playouts(path, data, summary):
             f"{path}: hex_playouts checksum {rec['checksum']} != reference"
             f" {rec['reference_checksum']} (the engine must play the"
             " reference's playouts)"
+        )
+    if rec["lanes_checksum"] != rec["checksum"]:
+        fail(
+            f"{path}: hex_playouts lanes checksum {rec['lanes_checksum']} !="
+            f" engine {rec['checksum']} (lane batches must play the scalar"
+            " playouts)"
         )
     speedup = summary.get("hex_playout_speedup_vs_reference")
     if speedup is None:
@@ -397,7 +415,22 @@ def check_hex_playouts(path, data, summary):
             f"{path}: hex11 playouts only {speedup:.2f}x the list-and-flood"
             f" reference (gate: >= {MIN_HEX_PLAYOUT_SPEEDUP}x)"
         )
-    return speedup
+    lanes = summary.get("hex_lanes_speedup_vs_scalar")
+    if lanes is None:
+        fail(f"{path}: summary lacks hex_lanes_speedup_vs_scalar")
+    recomputed = rec["lanes_playouts_per_sec"] / rec["playouts_per_sec"]
+    if abs(recomputed - lanes) > 1e-6 * max(abs(recomputed), abs(lanes)):
+        fail(
+            f"{path}: summary hex_lanes_speedup_vs_scalar {lanes}"
+            f" != hex_playouts lanes / engine rate ratio {recomputed}"
+        )
+    variant = rec["lane_variant"]
+    if variant == HEX_LANES_GATED_VARIANT and lanes < MIN_HEX_LANES_SPEEDUP:
+        fail(
+            f"{path}: hex11 8-lane batches only {lanes:.2f}x scalar playouts"
+            f" with the {variant} (gate: >= {MIN_HEX_LANES_SPEEDUP}x)"
+        )
+    return speedup, lanes, variant
 
 
 def check_host_phases(path, data, summary):
@@ -567,7 +600,7 @@ def check_throughput(path, baseline=None, tolerance=DEFAULT_BASELINE_TOLERANCE):
     resident, resident_wall = check_device_tree(path, data, summary)
     root_lanes = check_root_parallel_lanes(path, data, summary)
     lanes = check_playout_lanes(path, data, summary)
-    hex_playouts = check_hex_playouts(path, data, summary)
+    hex_playouts, hex_lanes, hex_variant = check_hex_playouts(path, data, summary)
     schemes = check_host_phases(path, data, summary)
     msg = (
         f"check_bench: OK: {path}: engine {speedup:.2f}x vs lockstep,"
@@ -577,6 +610,7 @@ def check_throughput(path, baseline=None, tolerance=DEFAULT_BASELINE_TOLERANCE):
         f" root_parallel lanes {root_lanes:.2f}x vs sequential,"
         f" lanes-8 {lanes:.2f}x vs scalar playouts,"
         f" hex11 playouts {hex_playouts:.2f}x vs reference,"
+        f" hex11 lanes-8 {hex_lanes:.2f}x vs scalar ({hex_variant}),"
         f" host_phases {', '.join(schemes)}"
     )
     if baseline is not None:
