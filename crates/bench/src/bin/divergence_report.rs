@@ -6,17 +6,25 @@
 //! varying length make per-thread independent *searches* infeasible on
 //! SIMD hardware, while per-block shared *positions* keep warps coherent.
 //!
+//! `divergence_warp` then varies the warp width from 1 to 64 lanes on one
+//! grid of opening playouts. Each warp step costs a constant 275 cycles
+//! per lane, so only divergence moves the virtual rate: a warp is charged
+//! until its slowest lane finishes, and the lane-steps it idles grow with
+//! its width.
+//!
 //! Run: `cargo run --release -p pmcts-bench --bin divergence_report`
-//! (`--out DIR` also writes `DIR/divergence_report.txt` so CI can validate
-//! and archive it).
+//! (`--out DIR` also writes `DIR/divergence_report.txt` and
+//! `DIR/divergence_warp.tsv` so CI can validate and archive them).
 
-use pmcts_bench::{midgame_position, BenchArgs};
+use pmcts_bench::{midgame_position, print_table, write_artifact, BenchArgs};
 use pmcts_core::gpu::PlayoutKernel;
 use pmcts_games::{random_playout, Game, Reversi};
-use pmcts_gpu_sim::{Device, LaunchConfig};
+use pmcts_gpu_sim::{Device, DeviceSpec, LaunchConfig};
 use pmcts_util::{Histogram, Xoshiro256pp};
 use std::fmt::Write as _;
-use std::io::Write as _;
+
+/// Threads of the `divergence_warp` grid (16 blocks of 64).
+const WARP_GRID_THREADS: u32 = 1024;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -75,12 +83,37 @@ fn main() {
          positions have shorter, tighter playouts and thus higher efficiency."
     );
 
-    print!("{text}");
-    if let Some(dir) = &args.out_dir {
-        std::fs::create_dir_all(dir).expect("create out dir");
-        let path = format!("{dir}/divergence_report.txt");
-        let mut f = std::fs::File::create(&path).expect("create report");
-        f.write_all(text.as_bytes()).expect("write report");
-        eprintln!("wrote {path}");
+    write_artifact("divergence_report.txt", &text, &args);
+
+    // The same lanes play the same playouts at every width; only their
+    // grouping into warps changes.
+    let kernel = PlayoutKernel::new(vec![Reversi::initial()], args.seed);
+    let grid = LaunchConfig::new(WARP_GRID_THREADS / 64, 64);
+    let mut rows = Vec::new();
+    for warp in [1u32, 2, 4, 8, 16, 32, 64] {
+        let spec = DeviceSpec {
+            warp_size: warp,
+            cycles_per_warp_step: 275 * warp as u64,
+            ..DeviceSpec::tesla_c2050()
+        };
+        let result = Device::new(spec).launch(&kernel, grid);
+        let stats = &result.stats;
+        let sims_per_s = result.outputs.len() as f64 / stats.elapsed().as_secs_f64();
+        rows.push(vec![
+            warp.to_string(),
+            format!("{:.6}", stats.lane_efficiency()),
+            stats.idle_lane_steps.to_string(),
+            format!("{sims_per_s:.6}"),
+        ]);
     }
+    let title = format!(
+        "lane efficiency vs warp width, {WARP_GRID_THREADS} threads, Reversi opening playouts"
+    );
+    let header = [
+        "warp",
+        "efficiency",
+        "idle_lane_steps",
+        "virtual_sims_per_s",
+    ];
+    print_table("divergence_warp", &title, &header, &rows, &args);
 }

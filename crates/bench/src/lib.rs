@@ -1,10 +1,11 @@
-//! Shared harness for the figure regenerators and ablation benches.
+//! Shared harness for the figure regenerators and experiment binaries.
 //!
 //! Every experiment binary follows the same shape: parse a few flags
 //! ([`BenchArgs`]), build players/searchers from `pmcts-core`, sweep a
 //! parameter, and print labelled TSV series ([`print_series`]) that
-//! correspond one-to-one to the curves of the paper's figures. Output goes
-//! to stdout and, with `--out DIR`, to `DIR/<name>.tsv`.
+//! correspond one-to-one to the curves of the paper's figures, or TSV
+//! tables ([`print_table`]) for the ablations beside them. Output goes to
+//! stdout and, with `--out DIR`, to `DIR/<name>.tsv`.
 //!
 //! [`tree_aos`] keeps the original array-of-structs search tree as the
 //! `throughput` baseline and the layout-equivalence oracle of the SoA
@@ -18,7 +19,6 @@ pub mod tree_aos;
 use pmcts_games::{Game, Reversi};
 use pmcts_util::stats::Series;
 use pmcts_util::SplitMix64;
-use std::io::Write;
 
 /// Command-line arguments shared by all experiment binaries.
 #[derive(Clone, Debug)]
@@ -167,12 +167,34 @@ pub fn print_series(name: &str, title: &str, series: &[Series], args: &BenchArgs
         }
         text.push('\n');
     }
+    write_artifact(&format!("{name}.tsv"), &text, args);
+}
+
+/// Prints a TSV table: a `# name: title` comment, a header row, then one
+/// tab-separated line per row — the table sibling of [`print_series`].
+pub fn print_table(
+    name: &str,
+    title: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+    args: &BenchArgs,
+) {
+    let mut text = format!("# {name}: {title}\n{}\n", header.join("\t"));
+    for row in rows {
+        text.push_str(&row.join("\t"));
+        text.push('\n');
+    }
+    write_artifact(&format!("{name}.tsv"), &text, args);
+}
+
+/// Prints `text` to stdout and, with `--out DIR`, writes it to
+/// `DIR/<file>`.
+pub fn write_artifact(file: &str, text: &str, args: &BenchArgs) {
     print!("{text}");
     if let Some(dir) = &args.out_dir {
         std::fs::create_dir_all(dir).expect("create out dir");
-        let path = format!("{dir}/{name}.tsv");
-        let mut f = std::fs::File::create(&path).expect("create tsv");
-        f.write_all(text.as_bytes()).expect("write tsv");
+        let path = format!("{dir}/{file}");
+        std::fs::write(&path, text).expect("write artifact");
         eprintln!("wrote {path}");
     }
 }
@@ -303,14 +325,7 @@ pub fn write_json(name: &str, records: &[JsonObject], args: &BenchArgs) {
         text.push('\n');
     }
     text.push_str("]\n");
-    print!("{text}");
-    if let Some(dir) = &args.out_dir {
-        std::fs::create_dir_all(dir).expect("create out dir");
-        let path = format!("{dir}/{name}.json");
-        let mut f = std::fs::File::create(&path).expect("create json");
-        f.write_all(text.as_bytes()).expect("write json");
-        eprintln!("wrote {path}");
-    }
+    write_artifact(&format!("{name}.json"), &text, args);
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample. `p` is in

@@ -13,7 +13,6 @@
 //!
 //! Nothing in the search path uses this module.
 
-use pmcts_core::config::FinalMoveRule;
 use pmcts_core::tree::{best_from_stats, NodeId, RootStat};
 use pmcts_core::ucb::ucb1;
 use pmcts_games::{Game, MoveBuf, Player};
@@ -193,8 +192,8 @@ impl<G: Game> AosSearchTree<G> {
     }
 
     /// Chooses a move from this tree's root statistics.
-    pub fn best_move(&self, rule: FinalMoveRule) -> Option<G::Move> {
-        best_from_stats(&self.root_stats(), rule)
+    pub fn best_move(&self) -> Option<G::Move> {
+        best_from_stats(&self.root_stats())
     }
 }
 

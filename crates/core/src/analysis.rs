@@ -131,7 +131,7 @@ mod tests {
         let pv = principal_variation(&tree, 10);
         assert!(!pv.is_empty());
         // First PV move = robust child of the root.
-        let best = tree.best_move(crate::config::FinalMoveRule::RobustChild);
+        let best = tree.best_move();
         assert_eq!(Some(pv[0].mv), best);
         // Visits are non-increasing along the PV.
         for w in pv.windows(2) {

@@ -178,7 +178,6 @@ impl<G: Game> RoundEngine<G> for BlockEngine<G> {
 
     fn finish(&mut self) -> SearchReport<G::Move> {
         report_from_trees(
-            &self.config,
             &self.trees,
             &self.ledger.tracker,
             self.ledger.phases.clone(),
@@ -282,7 +281,6 @@ pub(crate) fn cpu_playouts<G: Game>(
 /// Merges per-tree reports into one `SearchReport` (shared by every
 /// multi-tree and shared-tree scheme).
 pub(crate) fn report_from_trees<G: Game>(
-    config: &MctsConfig,
     trees: &[SearchTree<G>],
     tracker: &BudgetTracker,
     mut phases: PhaseBreakdown,
@@ -290,7 +288,7 @@ pub(crate) fn report_from_trees<G: Game>(
     let merged = merge_root_stats(&trees.iter().map(|t| t.root_stats()).collect::<Vec<_>>());
     phases.budget_overshoot = tracker.overshoot();
     SearchReport {
-        best_move: best_from_stats(&merged, config.final_move),
+        best_move: best_from_stats(&merged),
         simulations: phases.simulations,
         iterations: tracker.iterations,
         tree_nodes: trees.iter().map(|t| t.live_nodes() as u64).sum(),

@@ -37,8 +37,6 @@ pub struct MctsConfig {
     pub seed: u64,
     /// Virtual cost model for host-side operations.
     pub cpu_cost: CpuCostModel,
-    /// How the final move is chosen from root statistics.
-    pub final_move: FinalMoveRule,
     /// Deterministic fault-injection schedule. [`FaultPlan::none`] (the
     /// default) reproduces fault-free behaviour bit-for-bit: fault queries
     /// draw from their own derived streams, never from the search RNGs.
@@ -52,24 +50,12 @@ pub struct MctsConfig {
     pub max_tree_nodes: Option<u32>,
 }
 
-/// Rule for picking the move to play after search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FinalMoveRule {
-    /// Most-visited root child ("robust child") — the standard, and what the
-    /// merged root statistics of root/block parallelism use.
-    RobustChild,
-    /// Highest mean value ("max child"); offered for the final-selection
-    /// ablation.
-    MaxChild,
-}
-
 impl Default for MctsConfig {
     fn default() -> Self {
         MctsConfig {
             exploration_c: std::f64::consts::SQRT_2,
             seed: 0x00C0_FFEE,
             cpu_cost: CpuCostModel::xeon_x5670(),
-            final_move: FinalMoveRule::RobustChild,
             faults: FaultPlan::none(),
             max_tree_nodes: None,
         }
@@ -96,12 +82,6 @@ impl MctsConfig {
     /// Replaces the CPU cost model.
     pub fn with_cpu_cost(mut self, cost: CpuCostModel) -> Self {
         self.cpu_cost = cost;
-        self
-    }
-
-    /// Replaces the final-move rule.
-    pub fn with_final_move(mut self, rule: FinalMoveRule) -> Self {
-        self.final_move = rule;
         self
     }
 
@@ -132,18 +112,13 @@ mod tests {
     fn default_config_is_sane() {
         let c = MctsConfig::default();
         assert!((c.exploration_c - std::f64::consts::SQRT_2).abs() < 1e-12);
-        assert_eq!(c.final_move, FinalMoveRule::RobustChild);
     }
 
     #[test]
     fn builder_methods() {
-        let c = MctsConfig::default()
-            .with_seed(42)
-            .with_exploration(1.0)
-            .with_final_move(FinalMoveRule::MaxChild);
+        let c = MctsConfig::default().with_seed(42).with_exploration(1.0);
         assert_eq!(c.seed, 42);
         assert_eq!(c.exploration_c, 1.0);
-        assert_eq!(c.final_move, FinalMoveRule::MaxChild);
     }
 
     #[test]

@@ -477,7 +477,7 @@ impl<G: Game> Searcher<G> for DeviceTreeSearcher<G> {
             last_round_cost = SimTime::from_nanos((total_ns / rounds).max(1));
         }
 
-        let report = report_from_trees(&self.config, &trees, &ledger.tracker, ledger.phases);
+        let report = report_from_trees(&trees, &ledger.tracker, ledger.phases);
         self.resident = Some(trees);
         report
     }

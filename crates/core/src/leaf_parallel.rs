@@ -160,7 +160,6 @@ impl<G: Game> RoundEngine<G> for LeafEngine<G> {
 
     fn finish(&mut self) -> SearchReport<G::Move> {
         report_from_trees(
-            &self.config,
             std::slice::from_ref(&self.tree),
             &self.ledger.tracker,
             self.ledger.phases.clone(),

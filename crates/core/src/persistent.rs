@@ -4,7 +4,8 @@
 //! engineering improvement is to keep the subtree of the position actually
 //! reached — our move plus the opponent's reply — so earlier simulations
 //! carry over. [`PersistentSearcher`] wraps the sequential engine with this
-//! behaviour; the `tree_reuse` ablation shows what it buys at equal budget.
+//! behaviour. Whether reuse buys strength at equal budget is undecided
+//! (ROADMAP item 6).
 
 use crate::config::{MctsConfig, SearchBudget};
 use crate::searcher::{BudgetTracker, SearchReport, Searcher};
@@ -63,7 +64,7 @@ impl<G: Game> Searcher<G> for PersistentSearcher<G> {
         }
         phases.budget_overshoot = tracker.overshoot();
         let report = SearchReport {
-            best_move: tree.best_move(self.config.final_move),
+            best_move: tree.best_move(),
             simulations,
             iterations: tracker.iterations,
             tree_nodes: tree.live_nodes() as u64,

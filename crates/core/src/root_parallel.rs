@@ -31,7 +31,7 @@
 //! [`MultiNodeCpuSearcher`](crate::multi_node_cpu::MultiNodeCpuSearcher).
 //! Trees and ranks alike fan out over one [`WorkerPool`].
 
-use crate::config::{FinalMoveRule, MctsConfig, SearchBudget};
+use crate::config::{MctsConfig, SearchBudget};
 use crate::cost::NetworkModel;
 use crate::searcher::{empty_report, overshoot_of, SearchReport, Searcher};
 use crate::sequential::SequentialSearcher;
@@ -173,14 +173,7 @@ impl<G: Game> Searcher<G> for RootParallelSearcher<G> {
             excluded: dead,
             ..FaultCounters::default()
         };
-        merge_reports(
-            &reports,
-            merged,
-            SimTime::ZERO,
-            faults,
-            budget,
-            config.final_move,
-        )
+        merge_reports(&reports, merged, SimTime::ZERO, faults, budget)
     }
 
     fn name(&self) -> String {
@@ -202,7 +195,6 @@ pub(crate) fn merge_reports<M: Copy>(
     merge_cost: SimTime,
     faults: FaultCounters,
     budget: SearchBudget,
-    final_move: FinalMoveRule,
 ) -> SearchReport<M> {
     let mut phases = PhaseBreakdown::new();
     for r in components {
@@ -217,7 +209,7 @@ pub(crate) fn merge_reports<M: Copy>(
     let elapsed = crit.map_or(SimTime::ZERO, |i| components[i].elapsed) + merge_cost;
     phases.budget_overshoot = overshoot_of(budget, elapsed);
     SearchReport {
-        best_move: best_from_stats(&merged, final_move),
+        best_move: best_from_stats(&merged),
         simulations: components.iter().map(|r| r.simulations).sum(),
         iterations: components.iter().map(|r| r.iterations).sum(),
         tree_nodes: components.iter().map(|r| r.tree_nodes).sum(),
@@ -282,14 +274,7 @@ pub(crate) fn run_ranks<M: Copy + Eq + Send>(
     } else {
         base
     };
-    merge_reports(
-        &reports,
-        merged,
-        merge_cost,
-        faults,
-        budget,
-        config.final_move,
-    )
+    merge_reports(&reports, merged, merge_cost, faults, budget)
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ impl<G: Game> SequentialSearcher<G> {
         if !walk.tree.is_terminal(walk.tree.root()) {
             self.run_on_tree(&mut walk.tree, &mut walk.tracker, &mut walk.phases);
         }
-        walk.finish(&self.config)
+        walk.finish()
     }
 
     /// Runs the search while keeping the tree available to the caller —
@@ -179,11 +179,7 @@ impl<G: Game> SequentialSearcher<G> {
                 );
             }
         }
-        walks
-            .into_iter()
-            .zip(searchers.iter())
-            .map(|(w, s)| w.finish(&s.config).0)
-            .collect()
+        walks.into_iter().map(|w| w.finish().0).collect()
     }
 }
 
@@ -204,10 +200,10 @@ impl<G: Game> Walk<G> {
     }
 
     /// The search's report, and its tree.
-    fn finish(mut self, config: &MctsConfig) -> (SearchReport<G::Move>, SearchTree<G>) {
+    fn finish(mut self) -> (SearchReport<G::Move>, SearchTree<G>) {
         self.phases.budget_overshoot = self.tracker.overshoot();
         let report = SearchReport {
-            best_move: self.tree.best_move(config.final_move),
+            best_move: self.tree.best_move(),
             simulations: self.phases.simulations,
             iterations: self.tracker.iterations,
             tree_nodes: self.tree.live_nodes() as u64,

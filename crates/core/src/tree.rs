@@ -28,7 +28,7 @@
 //! original layout survives in the bench crate (`pmcts_bench::tree_aos`)
 //! as the equivalence oracle and benchmark baseline.
 
-use crate::config::{FinalMoveRule, MctsConfig};
+use crate::config::MctsConfig;
 use crate::transposition::{TransStats, TransTable};
 use crate::ucb::{ucb1_corrected_with_ln, ucb1_with_ln};
 use pmcts_games::{Game, MoveBuf, Player};
@@ -868,9 +868,10 @@ impl<G: Game> SearchTree<G> {
             .collect()
     }
 
-    /// Chooses a move from this tree's root statistics.
-    pub fn best_move(&self, rule: FinalMoveRule) -> Option<G::Move> {
-        best_from_stats(&self.root_stats(), rule)
+    /// Chooses a move from this tree's root statistics (see
+    /// [`best_from_stats`]).
+    pub fn best_move(&self) -> Option<G::Move> {
+        best_from_stats(&self.root_stats())
     }
 
     /// Extracts the subtree rooted at `id` as a new tree whose root is that
@@ -1081,36 +1082,10 @@ fn on_path(parent: &[NodeId], id: NodeId, tip: NodeId) -> bool {
     false
 }
 
-/// Chooses a move from (possibly merged) root statistics.
-pub fn best_from_stats<M: Copy>(stats: &[RootStat<M>], rule: FinalMoveRule) -> Option<M> {
-    if stats.is_empty() {
-        return None;
-    }
-    let best = match rule {
-        FinalMoveRule::RobustChild => stats
-            .iter()
-            .max_by_key(|s| s.visits)
-            .expect("non-empty stats"),
-        FinalMoveRule::MaxChild => stats
-            .iter()
-            .max_by(|a, b| {
-                // Unvisited moves score ½, matching `SearchTree::mean`: an
-                // unsampled move is unknown, not lost.
-                let ma = if a.visits == 0 {
-                    0.5
-                } else {
-                    a.wins / a.visits as f64
-                };
-                let mb = if b.visits == 0 {
-                    0.5
-                } else {
-                    b.wins / b.visits as f64
-                };
-                ma.partial_cmp(&mb).expect("finite means")
-            })
-            .expect("non-empty stats"),
-    };
-    Some(best.mv)
+/// Chooses a move from (possibly merged) root statistics: the most
+/// visited root child ("robust child"), the last of equals on ties.
+pub fn best_from_stats<M: Copy>(stats: &[RootStat<M>]) -> Option<M> {
+    stats.iter().max_by_key(|s| s.visits).map(|s| s.mv)
 }
 
 /// Merges root statistics from several trees over the *same* position by
@@ -1236,14 +1211,12 @@ mod tests {
         t.backprop(b, 5.0, 6);
         let stats = t.root_stats();
         assert_eq!(stats.len(), 2);
-        let best = t.best_move(FinalMoveRule::RobustChild).unwrap();
+        let best = t.best_move().unwrap();
         assert_eq!(best, t.move_into(b).unwrap(), "robust child = most visited");
-        // MaxChild picks the higher mean: a: 1/2=0.5, b: 5/6≈0.83 -> still b.
-        assert_eq!(t.best_move(FinalMoveRule::MaxChild).unwrap(), best);
     }
 
     #[test]
-    fn max_child_differs_from_robust_child_when_means_invert() {
+    fn robust_child_prefers_visits_over_mean() {
         let stats = vec![
             RootStat {
                 mv: 0u8,
@@ -1256,15 +1229,12 @@ mod tests {
                 wins: 9.0,
             }, // mean .9
         ];
-        assert_eq!(best_from_stats(&stats, FinalMoveRule::RobustChild), Some(0));
-        assert_eq!(best_from_stats(&stats, FinalMoveRule::MaxChild), Some(1));
+        assert_eq!(best_from_stats(&stats), Some(0));
     }
 
     #[test]
-    fn max_child_scores_unvisited_moves_half_like_node_mean() {
-        // mv 0 has a measured mean of 0.3; mv 1 was never sampled. Under
-        // the old 0.0 convention MaxChild would pick mv 0; with the ½
-        // convention (matching `SearchTree::mean`) the unknown move wins.
+    fn robust_child_prefers_a_sampled_move_over_an_unsampled_one() {
+        // mv 0 has a measured mean of 0.3; mv 1 was never sampled.
         let stats = vec![
             RootStat {
                 mv: 0u8,
@@ -1277,9 +1247,18 @@ mod tests {
                 wins: 0.0,
             },
         ];
-        assert_eq!(best_from_stats(&stats, FinalMoveRule::MaxChild), Some(1));
-        // RobustChild is unaffected: it still prefers the visited move.
-        assert_eq!(best_from_stats(&stats, FinalMoveRule::RobustChild), Some(0));
+        assert_eq!(best_from_stats(&stats), Some(0));
+    }
+
+    #[test]
+    fn robust_child_takes_the_last_of_equal_visit_counts() {
+        let stat = |mv: u8| RootStat {
+            mv,
+            visits: 7,
+            wins: f64::from(mv),
+        };
+        assert_eq!(best_from_stats(&[stat(0), stat(1), stat(2)]), Some(2));
+        assert_eq!(best_from_stats::<u8>(&[]), None);
     }
 
     #[test]
@@ -1327,7 +1306,7 @@ mod tests {
     fn empty_tree_has_no_best_move() {
         let s = TicTacToe::parse("XXX OO. ...", pmcts_games::Player::P2).unwrap();
         let t = SearchTree::new(s);
-        assert_eq!(t.best_move(FinalMoveRule::RobustChild), None);
+        assert_eq!(t.best_move(), None);
     }
 
     #[test]
@@ -1434,10 +1413,7 @@ mod tests {
         assert_eq!(b.evictions(), 0);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.root_stats(), b.root_stats());
-        assert_eq!(
-            a.best_move(FinalMoveRule::RobustChild),
-            b.best_move(FinalMoveRule::RobustChild)
-        );
+        assert_eq!(a.best_move(), b.best_move());
         b.debug_validate();
     }
 

@@ -24,7 +24,6 @@ pub mod connect4;
 pub mod game;
 pub mod hex;
 pub mod playout;
-pub mod policy;
 pub mod reversi;
 pub mod tictactoe;
 pub mod zobrist;
@@ -33,6 +32,5 @@ pub use connect4::Connect4;
 pub use game::{Game, MoveBuf, Outcome, Player};
 pub use hex::{Hex, Hex11, Hex5, Hex7};
 pub use playout::{play_lanes, random_playout, LaneBatch, PlayoutResult, LANE_WIDTH};
-pub use policy::{policy_playout, PlayoutPolicy, ReversiCornerPolicy, UniformPolicy};
 pub use reversi::{Reversi, ReversiMove};
 pub use tictactoe::TicTacToe;

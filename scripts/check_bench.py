@@ -57,6 +57,16 @@ Usage:
                                  throughput gate vs the single-device
                                  baseline (>= devices/2 x)
           divergence_report.txt  per-phase efficiency table parses
+          divergence_warp.tsv    warp widths 1-64: lane efficiency 1.0 at
+                                 width 1, never rising with width
+          fig5_overhead.tsv      Fig. 5's schemes at 7168 threads under
+                                 four cost models: calibrated block-32 <
+                                 0.9x leaf-64; free host tree ops put
+                                 block-32 within 2% of leaf-64; zeroed
+                                 launch/transfer overhead moves block-32
+                                 by < 2%; with fig5_speed.tsv beside it,
+                                 the calibrated row equals the sweep's
+                                 7168-thread points
 
     --baseline FILE   committed BENCH_throughput.json to compare against
     --tolerance X     new sequential playouts_per_sec must be >= X * baseline
@@ -214,6 +224,27 @@ HEX_PLAYOUTS_FIELDS = [
     "lanes_checksum",
 ]
 DEFAULT_BASELINE_TOLERANCE = 0.75
+# fig5_overhead.tsv: the leaf-vs-block gap is the host's sequential tree
+# work ("the CPU's sequential part"). Calibrated block-32 reads 0.78x
+# leaf-64 at 7168 threads; with free host tree ops it reads 0.998x (default
+# seed) and 1.001x (seed 7); zeroing launch and transfer overhead moves it
+# by +0.3%.
+FIG5_OVERHEAD_MODELS = [
+    "calibrated",
+    "no_launch_transfer_overhead",
+    "free_host_tree_ops",
+    "both_free",
+]
+# Table column -> the fig5_speed.tsv series it repeats at 7168 threads.
+FIG5_OVERHEAD_SCHEMES = {
+    "leaf_64": "leaf parallelism (block size = 64)",
+    "block_32": "block parallelism (block size = 32)",
+    "block_128": "block parallelism (block size = 128)",
+}
+FIG5_OVERHEAD_THREADS = "7168"
+MAX_CALIBRATED_BLOCK32_VS_LEAF = 0.9
+MAX_OVERHEAD_DEVIATION = 0.02
+DIVERGENCE_WARP_WIDTHS = [1, 2, 4, 8, 16, 32, 64]
 
 
 def fail(msg):
@@ -1006,6 +1037,88 @@ def check_divergence(path):
     print(f"check_bench: OK: {path}: 3 phase rows, efficiencies sane")
 
 
+def read_table(path, header):
+    """Rows of a TSV table written by `pmcts_bench::print_table`: `#`
+    comment lines, then `header`, then one row per line."""
+    lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+    if not lines or lines[0].split("\t") != header:
+        fail(f"{path}: header is not {header}")
+    rows = [l.split("\t") for l in lines[1:]]
+    for row in rows:
+        if len(row) != len(header):
+            fail(f"{path}: row {row} does not have {len(header)} cells")
+    return rows
+
+
+def series_points(path, x):
+    """{series label: y cell at x} of a `print_series` TSV file."""
+    points, label = {}, None
+    for line in open(path).read().splitlines():
+        if line.startswith("## "):
+            label = line[3:]
+        elif label and line.split("\t")[0] == x:
+            points[label] = line.split("\t")[1]
+    return points
+
+
+def check_fig5_overhead(path):
+    rows = read_table(path, ["model"] + list(FIG5_OVERHEAD_SCHEMES))
+    if [r[0] for r in rows] != FIG5_OVERHEAD_MODELS:
+        fail(f"{path}: models {[r[0] for r in rows]} != {FIG5_OVERHEAD_MODELS}")
+    sims = {r[0]: dict(zip(FIG5_OVERHEAD_SCHEMES, map(float, r[1:]))) for r in rows}
+    if not all(v > 0 for cells in sims.values() for v in cells.values()):
+        fail(f"{path}: every sims/s cell must be positive")
+    cal, free_host = sims["calibrated"], sims["free_host_tree_ops"]
+    gap = cal["block_32"] / cal["leaf_64"]
+    if not gap < MAX_CALIBRATED_BLOCK32_VS_LEAF:
+        fail(
+            f"{path}: calibrated block-32 / leaf-64 = {gap:.3f},"
+            f" not < {MAX_CALIBRATED_BLOCK32_VS_LEAF}"
+        )
+    free = free_host["block_32"] / free_host["leaf_64"]
+    if abs(free - 1.0) > MAX_OVERHEAD_DEVIATION:
+        fail(
+            f"{path}: with free host tree ops block-32 / leaf-64 = {free:.4f},"
+            f" not within {MAX_OVERHEAD_DEVIATION:.0%} of 1"
+        )
+    launch = sims["no_launch_transfer_overhead"]["block_32"] / cal["block_32"]
+    if abs(launch - 1.0) > MAX_OVERHEAD_DEVIATION:
+        fail(
+            f"{path}: zeroed launch/transfer overhead moves block-32 by"
+            f" {launch - 1:+.2%}, not within {MAX_OVERHEAD_DEVIATION:.0%}"
+        )
+    sweep = os.path.join(os.path.dirname(path), "fig5_speed.tsv")
+    if os.path.exists(sweep):
+        points = series_points(sweep, FIG5_OVERHEAD_THREADS)
+        if [points.get(label) for label in FIG5_OVERHEAD_SCHEMES.values()] != rows[0][1:]:
+            fail(
+                f"{path}: calibrated row {rows[0][1:]} is not {sweep}'s"
+                f" {FIG5_OVERHEAD_THREADS}-thread points"
+            )
+    print(
+        f"check_bench: OK: {path}: block-32 / leaf-64 {gap:.3f} calibrated, {free:.4f} with"
+        f" free host tree ops; zeroed launch/transfer moves block-32 {launch - 1:+.2%}"
+    )
+
+
+def check_divergence_warp(path):
+    rows = read_table(path, ["warp", "efficiency", "idle_lane_steps", "virtual_sims_per_s"])
+    if [int(r[0]) for r in rows] != DIVERGENCE_WARP_WIDTHS:
+        fail(f"{path}: warp widths {[r[0] for r in rows]} != {DIVERGENCE_WARP_WIDTHS}")
+    for r in rows:
+        if not (0.0 < float(r[1]) <= 1.0 and int(r[2]) >= 0 and float(r[3]) > 0):
+            fail(f"{path}: row {r} out of range")
+    if float(rows[0][1]) != 1.0 or int(rows[0][2]) != 0:
+        fail(f"{path}: width 1 idles {rows[0][2]} lane-steps (efficiency {rows[0][1]})")
+    for narrow, wide in zip(rows, rows[1:]):
+        if float(wide[1]) > float(narrow[1]):
+            fail(f"{path}: efficiency rises from width {narrow[0]} to {wide[0]}")
+    print(
+        f"check_bench: OK: {path}: efficiency 1.0 at width 1,"
+        f" never rising, {float(rows[-1][1]):.4f} at width {rows[-1][0]}"
+    )
+
+
 def strip_wall(node):
     """Strips wall-clock fields recursively: top-level records and any
     nested objects (fleet per-shard sub-records, future aggregates)."""
@@ -1036,6 +1149,8 @@ CHECKS = {
     "serve.json": check_serve,
     "fleet.json": check_fleet,
     "divergence_report.txt": check_divergence,
+    "divergence_warp.tsv": check_divergence_warp,
+    "fig5_overhead.tsv": check_fig5_overhead,
 }
 
 

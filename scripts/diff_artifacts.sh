@@ -13,13 +13,14 @@
 # speed and point series (whole multi-GPU games, ranks merged by the
 # rank-ordered allreduce, under a virtual time budget), the Fig. 5 speed
 # and host-share series (leaf- and block-parallel launches up to the
-# paper's full grid), the Fig. 6 win ratios (block- and leaf-parallel
-# games against sequential search) and the Fig. 7 point differences (two
-# games per player at 50 ms a move: root-parallel CPU players, whose trees
-# step in lockstep lane batches, and one GPU against sequential search).
-# Prints one
-# line per artifact and exits non-zero if any pair differs. An artifact
-# BASE does not produce is printed as `head-only` and not compared.
+# paper's full grid) and its cost-model ablation table, the Fig. 6 win
+# ratios (block- and leaf-parallel games against sequential search), the
+# Fig. 7 point differences (two games per player at 50 ms a move:
+# root-parallel CPU players, whose trees step in lockstep lane batches,
+# and one GPU against sequential search) and the divergence report with
+# its warp-width table. Prints one line per artifact and exits non-zero if
+# any pair differs. An artifact BASE does not produce is printed as
+# `head-only` and not compared.
 set -euo pipefail
 
 base=${1:?usage: scripts/diff_artifacts.sh BASE}
@@ -49,6 +50,7 @@ generate() {
     "$bin/fig5_speed" --quick --seed 7 --out "$out" >/dev/null 2>&1
     "$bin/fig6_winratio" --quick --seed 7 --out "$out" >/dev/null 2>&1
     "$bin/fig7_gpu_vs_cpus" --quick --seed 7 --games 2 --move-ms 50 --out "$out" >/dev/null 2>&1
+    "$bin/divergence_report" --quick --seed 7 --out "$out" >/dev/null 2>&1
     # Bases that still have tree parallelism emit a `tree_parallel` profile
     # record whose phase times depend on the OS scheduler; dropping it keeps
     # diffs against those bases meaningful.
@@ -63,7 +65,7 @@ generate "$work/base" "$work/out-base"
 generate "$root" "$work/out-head"
 
 status=0
-for f in fault_matrix.json fault_matrix_hex11.json fault_matrix_service.json serve.json fleet.json frontier.json profile.canon.json fig8_points.tsv fig8_depth.tsv fig9_speed.tsv fig9_points.tsv fig5_speed.tsv fig5_speed_phases.tsv fig6_winratio.tsv fig7_gpu_vs_cpus.tsv; do
+for f in fault_matrix.json fault_matrix_hex11.json fault_matrix_service.json serve.json fleet.json frontier.json profile.canon.json fig8_points.tsv fig8_depth.tsv fig9_speed.tsv fig9_points.tsv fig5_speed.tsv fig5_speed_phases.tsv fig5_overhead.tsv fig6_winratio.tsv fig7_gpu_vs_cpus.tsv divergence_report.txt divergence_warp.tsv; do
     if [ ! -e "$work/out-base/$f" ]; then
         echo "head-only  $f"
     elif cmp -s "$work/out-base/$f" "$work/out-head/$f"; then
