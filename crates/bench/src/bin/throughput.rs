@@ -501,6 +501,13 @@ fn tree_ops_record(
 /// Times select/expand/backprop on both layouts over structurally
 /// identical prebuilt trees; returns the two records plus SoA-over-AoS
 /// speedups (select, expand, backprop).
+///
+/// The two layouts list moves at different times. The SoA tree lists a
+/// node's moves on its first expansion, so its expand timing includes
+/// listing each unlisted leaf it expands, while the new child stays
+/// unlisted. The AoS tree lists every node at creation: its expandable
+/// nodes were listed while the tree grew, outside the timing, and each
+/// timed expansion lists the child it creates.
 fn bench_tree_ops(
     position: Reversi,
     nodes: usize,
@@ -655,7 +662,7 @@ fn bench_bounded_tree_ops(
     }
     let drive = |tree: &mut SearchTree<Reversi>, rng: &mut Xoshiro256pp, i: u64| -> u64 {
         let sel = tree.select(EXPLORATION_C);
-        let node = if !tree.fully_expanded(sel) {
+        let node = if tree.list_moves(sel) > 0 {
             tree.expand(sel, rng)
         } else {
             sel
@@ -803,8 +810,9 @@ fn bench_host_phases(
         for _ in 0..iters {
             for (b, tree) in trees.iter_mut().enumerate() {
                 let sel = tree.select(EXPLORATION_C);
-                frontier[b] = if tree.untried_len(sel) > 0 {
-                    let pick = rng.next_below(tree.untried_len(sel) as u32);
+                let untried = tree.list_moves(sel);
+                frontier[b] = if untried > 0 {
+                    let pick = rng.next_below(untried as u32);
                     tree.expand_with_pick(sel, pick)
                 } else {
                     sel
@@ -816,8 +824,9 @@ fn bench_host_phases(
             }
             if let Some(t) = shadow_tree.as_mut() {
                 let sel = t.select(EXPLORATION_C);
-                let node = if t.untried_len(sel) > 0 {
-                    let pick = rng.next_below(t.untried_len(sel) as u32);
+                let untried = t.list_moves(sel);
+                let node = if untried > 0 {
+                    let pick = rng.next_below(untried as u32);
                     t.expand_with_pick(sel, pick)
                 } else {
                     sel

@@ -199,11 +199,11 @@ pub(crate) fn select_and_expand_all<G: Game>(
     pool: &WorkerPool,
     phases: &mut PhaseBreakdown,
 ) -> Frontier<G> {
-    // Selection on every tree (pool-parallel; trees are independent,
-    // selection is read-only).
+    // Selection on every tree (pool-parallel; trees are independent, and
+    // the only write is listing the selected node's moves).
     let selected: Vec<(u32, u32)> = pool.map_indexed(trees, |_, tree| {
         let sel = tree.select(exploration_c);
-        (sel, tree.untried_len(sel) as u32)
+        (sel, tree.list_moves(sel) as u32)
     });
     // Draw expansion picks from the shared RNG in block order — exactly
     // the draw sequence of the sequential schedule, so the pinned

@@ -63,6 +63,12 @@ use pmcts_util::{ArrayVec, Rng64, SimTime, Xoshiro256pp};
 /// bounded; iteration budgets run in one launch regardless).
 const MAX_PLANNED_ROUNDS: u64 = 65_536;
 
+/// Upper bound on the nodes a launch reserves per tree. A round adds at
+/// most one node per lane, but a saturated game tree adds none, so the
+/// plan only bounds the growth; the cap keeps a long plan on a small game
+/// from reserving memory it never fills.
+const MAX_RESERVED_NODES: usize = 1 << 16;
+
 /// GPU searcher whose kernel owns the trees: one resident tree per block,
 /// complete MCTS iterations per lane, host phases collapsed to zero.
 #[derive(Clone, Debug)]
@@ -182,9 +188,10 @@ impl<G: Game> DeviceTreeSearcher<G> {
 }
 
 /// The first half of one lane's in-kernel MCTS iteration: UCB descent,
-/// then expansion with the pick drawn from the lane RNG. Returns the node
-/// to simulate and records the lane's `depth+1` node reads for the descent
-/// and its one allocator claim.
+/// listing the selected node's moves if it is a fresh leaf, then expansion
+/// with the pick drawn from the lane RNG. Returns the node to simulate and
+/// records the lane's `depth+1` node reads for the descent and its one
+/// allocator claim.
 fn descend<G: Game>(
     tree: &mut SearchTree<G>,
     rng: &mut Xoshiro256pp,
@@ -194,7 +201,7 @@ fn descend<G: Game>(
 ) -> u32 {
     let sel = tree.select(exploration_c);
     let sel_depth = tree.depth(sel) as u64;
-    let untried = tree.untried_len(sel);
+    let untried = tree.list_moves(sel);
     let node = if untried > 0 {
         let pick = rng.next_below(untried as u32);
         let live_before = tree.live_nodes();
@@ -311,9 +318,12 @@ fn run_group<G: Game>(
 
 /// Runs `rounds` rounds of the persistent kernel over every block's tree
 /// (groups of [`LANE_WIDTH`] blocks fan out over the pool; see
-/// [`run_group`]). Folds traces, allocator mirroring and counters in
-/// block order, prices the launch, and returns
-/// `(stats, simulations, expansions)`.
+/// [`run_group`]). First reserves every live tree's node columns for the
+/// nodes the launch plans to add, one per lane per round, so a move's
+/// nodes land in one allocation per column, as in the device's pre-sized
+/// node pool. Folds traces, allocator mirroring and counters in block
+/// order, prices the launch, and returns `(stats, simulations,
+/// expansions)`.
 #[allow(clippy::too_many_arguments)]
 fn run_rounds<G: Game>(
     trees: &mut [SearchTree<G>],
@@ -327,6 +337,14 @@ fn run_rounds<G: Game>(
 ) -> (pmcts_gpu_sim::KernelStats, u64, u64) {
     let tpb = launch.threads_per_block as usize;
     let tree_spec = DeviceTreeSpec::c2050_resident();
+    let planned = (rounds as usize)
+        .saturating_mul(tpb)
+        .min(MAX_RESERVED_NODES);
+    for (b, tree) in trees.iter_mut().enumerate() {
+        if Some(b) != voided {
+            tree.reserve_nodes(planned);
+        }
+    }
     let mut groups: Vec<&mut [SearchTree<G>]> = trees.chunks_mut(LANE_WIDTH).collect();
     let runs = device.worker_pool().map_indexed(&mut groups, |g, group| {
         run_group(

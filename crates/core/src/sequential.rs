@@ -226,7 +226,7 @@ pub(crate) fn select_and_expand<G: Game>(
     phases: &mut PhaseBreakdown,
 ) -> u32 {
     let selected = tree.select(exploration_c);
-    if tree.fully_expanded(selected) {
+    if tree.list_moves(selected) == 0 {
         return selected; // terminal leaf: re-sample its outcome
     }
     phases.expansions += 1;

@@ -5,12 +5,17 @@
 //! (`visits`, `wins`) sit in their own arrays so a selection walk touches
 //! cache lines holding *only* the numbers it compares; cold attributes
 //! (state, parent, move, depth) stay out of the way in separate arrays.
-//! Children are stored as contiguous `(first, len)` ranges in one shared
-//! slab: each node's range is reserved at creation with capacity for every
-//! legal move, so expansion appends in place and **never allocates in the
-//! hot loop**. Untried moves use the same scheme in a second slab, which
-//! evicts the old 128-slot inline move buffer (~1 KiB per node) from the
-//! node representation entirely.
+//!
+//! Leaves are lazy. A new node stores only its state, parent, move, depth
+//! and statistics; it lists its legal moves the first time a search
+//! expands it ([`SearchTree::list_moves`]). Every simulation adds a node,
+//! but a node gains children only when it is selected again, so most
+//! nodes of a grown tree are leaves that never pay for a move list.
+//! Listing reserves two contiguous `(first, len)` ranges in shared slabs,
+//! both sized to the legal-move count: one for children, one for untried
+//! moves. Expansion then appends in place and **never allocates in the
+//! hot loop**. Until a node is listed, the read accessors answer from its
+//! state (`legal_moves` is non-empty iff the state is not terminal).
 //!
 //! The tree stores the *game state in every node* (all bundled games are
 //! tiny `Copy` bitboards), which keeps selection free of move
@@ -23,10 +28,12 @@
 //!
 //! Every operation is ordered exactly as the original array-of-structs
 //! layout ordered it (child iteration in push order, first-wins tie-breaks,
-//! `swap_remove` for untried moves, breadth-first subtree copies), so the
-//! rewrite is a pure layout change: same seed ⇒ bit-identical results. The
-//! original layout survives in the bench crate (`pmcts_bench::tree_aos`)
-//! as the equivalence oracle and benchmark baseline.
+//! `swap_remove` over the same `legal_moves` order for untried moves,
+//! breadth-first subtree copies), so the rewrite is a pure layout change:
+//! same seed ⇒ bit-identical results. Listing late changes when the
+//! untried list is built, not what it holds. The original layout survives
+//! in the bench crate (`pmcts_bench::tree_aos`) as the equivalence oracle
+//! and benchmark baseline.
 
 use crate::config::MctsConfig;
 use crate::transposition::{TransStats, TransTable};
@@ -42,6 +49,10 @@ const NO_NODE: NodeId = NodeId::MAX;
 
 /// Marks a recycled arena slot in the bounded tree's `lru_prev` column.
 const FREED: NodeId = NodeId::MAX - 1;
+
+/// `untried_first` of a node whose legal moves are not listed yet. Such a
+/// node has no children and holds no slab range.
+const UNLISTED: u32 = u32::MAX;
 
 /// Plies below an old root scanned when re-rooting. 2 would cover a plain
 /// move + reply, but Reversi passes can push the reached position deeper;
@@ -68,9 +79,10 @@ struct Bounded {
     /// Recycled arena slots (LIFO, deterministic).
     free_nodes: Vec<NodeId>,
     /// Recycled slab ranges bucketed by capacity: `free_ranges[c]` holds
-    /// `(child_first, untried_first)` pairs of freed nodes whose reserved
-    /// range held exactly `c` moves. Exact-fit reuse keeps ranges
-    /// interchangeable without splitting.
+    /// `(child_first, untried_first)` pairs of freed listed nodes whose
+    /// reserved range held exactly `c` moves. A node claims one when it is
+    /// listed. Exact-fit reuse keeps ranges interchangeable without
+    /// splitting.
     free_ranges: Vec<Vec<(u32, u32)>>,
     /// Nodes recycled so far.
     evictions: u64,
@@ -168,9 +180,10 @@ pub struct RootStat<M> {
 /// A structure-of-arrays MCTS tree.
 ///
 /// All per-node attribute vectors are indexed by [`NodeId`] and always have
-/// identical lengths. `child_slab` / `move_slab` hold every node's children
-/// and untried moves as contiguous ranges addressed by the `(first, len)`
-/// columns.
+/// identical lengths. `child_slab` / `move_slab` hold every listed node's
+/// children and untried moves as contiguous ranges addressed by the
+/// `(first, len)` columns; an unlisted node's `untried_first` is
+/// `UNLISTED`.
 #[derive(Clone, Debug)]
 pub struct SearchTree<G: Game> {
     // Hot columns: everything a UCB selection walk reads.
@@ -189,8 +202,9 @@ pub struct SearchTree<G: Game> {
     mv: Vec<G::Move>,
     depth: Vec<u32>,
     state: Vec<G>,
-    // Shared slabs. A node's child range is reserved at creation with
-    // capacity for all of its legal moves, so `child_len` grows in place.
+    // Shared slabs. A node's child range is reserved when it is listed,
+    // with capacity for all of its legal moves, so `child_len` grows in
+    // place.
     child_slab: Vec<NodeId>,
     move_slab: Vec<G::Move>,
     max_depth: u32,
@@ -243,19 +257,8 @@ impl<G: Game> SearchTree<G> {
     /// path can get (use [`MctsConfig::with_tree_capacity`]'s ≥ 64 floor).
     pub fn bounded(root_state: G, max_nodes: u32) -> Self {
         assert!(max_nodes >= 2, "bounded tree needs at least 2 nodes");
-        let n = max_nodes as usize;
         let mut tree = Self::empty(Some(Box::new(Bounded::new(max_nodes))));
-        tree.visits.reserve_exact(n);
-        tree.wins.reserve_exact(n);
-        tree.inflight.reserve_exact(n);
-        tree.child_first.reserve_exact(n);
-        tree.child_len.reserve_exact(n);
-        tree.untried_len.reserve_exact(n);
-        tree.untried_first.reserve_exact(n);
-        tree.parent.reserve_exact(n);
-        tree.mv.reserve_exact(n);
-        tree.depth.reserve_exact(n);
-        tree.state.reserve_exact(n);
+        tree.reserve_columns(max_nodes as usize);
         tree.push_node(root_state, NO_NODE, G::Move::default(), 0);
         tree
     }
@@ -269,65 +272,56 @@ impl<G: Game> SearchTree<G> {
         }
     }
 
-    /// Creates a fresh node, reserving slab ranges sized to its legal-move
-    /// count so later expansions of this node never reallocate. Unbounded
-    /// trees always append; bounded trees recycle freed slots and ranges,
-    /// evicting the LRU leaf first when the arena is full (`parent` and
-    /// its ancestors — the current selection path — are pinned).
-    fn push_node(&mut self, state: G, parent: NodeId, mv: G::Move, depth: u32) -> NodeId {
-        let mut legal = MoveBuf::new();
-        state.legal_moves(&mut legal);
-        if self.bounded.is_some() {
-            return self.alloc_bounded(state, parent, mv, depth, &legal);
-        }
-        let n = legal.len();
-        let id = self.visits.len() as NodeId;
-        let child_first = self.child_slab.len() as u32;
-        self.child_slab.resize(self.child_slab.len() + n, NO_NODE);
-        let untried_first = self.move_slab.len() as u32;
-        self.move_slab.extend_from_slice(legal.as_slice());
-        self.visits.push(0);
-        self.wins.push(0.0);
-        self.inflight.push(0);
-        self.child_first.push(child_first);
-        self.child_len.push(0);
-        self.untried_len.push(n as u16);
-        self.untried_first.push(untried_first);
-        self.parent.push(parent);
-        self.mv.push(mv);
-        self.depth.push(depth);
-        self.state.push(state);
-        self.max_depth = self.max_depth.max(depth);
-        id
+    /// Reserves every node column for `additional` more nodes.
+    fn reserve_columns(&mut self, additional: usize) {
+        self.visits.reserve_exact(additional);
+        self.wins.reserve_exact(additional);
+        self.inflight.reserve_exact(additional);
+        self.child_first.reserve_exact(additional);
+        self.child_len.reserve_exact(additional);
+        self.untried_len.reserve_exact(additional);
+        self.untried_first.reserve_exact(additional);
+        self.parent.reserve_exact(additional);
+        self.mv.reserve_exact(additional);
+        self.depth.reserve_exact(additional);
+        self.state.reserve_exact(additional);
     }
 
-    /// Bounded-mode node allocation: evict if the arena is full, then fill
-    /// a recycled slot (or append while under the cap), link into the LRU
-    /// as most recent, and register with the transposition table — seeding
-    /// the fresh node with any statistics recovered from prior evictions
-    /// of the same position.
-    fn alloc_bounded(
-        &mut self,
-        state: G,
-        parent: NodeId,
-        mv: G::Move,
-        depth: u32,
-        legal: &MoveBuf<G::Move>,
-    ) -> NodeId {
-        let n = legal.len();
-        {
-            let b = self.bounded.as_ref().expect("bounded mode");
-            if b.free_nodes.is_empty() && self.visits.len() >= b.max_nodes as usize {
-                self.evict_lru_leaf(parent);
-            }
+    /// Reserves an unbounded tree's node columns for `additional` more
+    /// nodes, so a device launch that plans them grows each column once
+    /// instead of through a doubling series. Bounded arenas are
+    /// preallocated at their cap and skip this.
+    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+        if self.bounded.is_none() {
+            self.reserve_columns(additional);
         }
-        let b = self.bounded.as_mut().expect("bounded mode");
-        let range = b.free_ranges[n].pop();
-        let recycled = b.free_nodes.pop();
-        let id = match recycled {
-            Some(id) => id,
+    }
+
+    /// Creates an unlisted node: state, links and zeroed statistics, no
+    /// move list and no slab range. Unbounded trees append; bounded trees
+    /// recycle a freed slot, evicting the LRU leaf first when the arena is
+    /// full (`parent` and its ancestors — the current selection path — are
+    /// pinned), link the node into the LRU as most recent, and register it
+    /// with the transposition table, seeding it with any statistics
+    /// recovered from prior evictions of the same position.
+    fn push_node(&mut self, state: G, parent: NodeId, mv: G::Move, depth: u32) -> NodeId {
+        let id = match self.recycled_slot(parent) {
+            Some(id) => {
+                let i = id as usize;
+                self.visits[i] = 0;
+                self.wins[i] = 0.0;
+                self.inflight[i] = 0;
+                self.child_first[i] = 0;
+                self.child_len[i] = 0;
+                self.untried_len[i] = 0;
+                self.untried_first[i] = UNLISTED;
+                self.parent[i] = parent;
+                self.mv[i] = mv;
+                self.depth[i] = depth;
+                self.state[i] = state;
+                id
+            }
             None => {
-                debug_assert!(self.visits.len() < b.max_nodes as usize);
                 let id = self.visits.len() as NodeId;
                 self.visits.push(0);
                 self.wins.push(0.0);
@@ -335,53 +329,70 @@ impl<G: Game> SearchTree<G> {
                 self.child_first.push(0);
                 self.child_len.push(0);
                 self.untried_len.push(0);
-                self.untried_first.push(0);
-                self.parent.push(NO_NODE);
-                self.mv.push(G::Move::default());
-                self.depth.push(0);
+                self.untried_first.push(UNLISTED);
+                self.parent.push(parent);
+                self.mv.push(mv);
+                self.depth.push(depth);
                 self.state.push(state);
-                b.lru_prev.push(FREED);
-                b.lru_next.push(NO_NODE);
+                if let Some(b) = self.bounded.as_mut() {
+                    debug_assert!(self.visits.len() <= b.max_nodes as usize);
+                    b.lru_prev.push(FREED);
+                    b.lru_next.push(NO_NODE);
+                }
                 id
             }
         };
+        self.max_depth = self.max_depth.max(depth);
+        if let Some(b) = self.bounded.as_mut() {
+            b.lru_push_head(id);
+            if let Some((visits, wins)) = b.tt.register(state.zobrist(), id) {
+                // A previously evicted copy of this position left statistics
+                // behind: seed the fresh node with them. (Child visit sums may
+                // then exceed the parent's — harmless for UCB, and exactly the
+                // point of recovering the work.)
+                self.visits[id as usize] = visits;
+                self.wins[id as usize] = wins;
+            }
+        }
+        id
+    }
+
+    /// Bounded mode: a freed arena slot for the next node, evicting the LRU
+    /// leaf off `pinned`'s path first when the arena is full. `None` while
+    /// the arena is under its cap, and always for unbounded trees.
+    fn recycled_slot(&mut self, pinned: NodeId) -> Option<NodeId> {
+        let b = self.bounded.as_ref()?;
+        if b.free_nodes.is_empty() && self.visits.len() >= b.max_nodes as usize {
+            self.evict_lru_leaf(pinned);
+        }
+        self.bounded.as_mut()?.free_nodes.pop()
+    }
+
+    /// Lists node `i`: its legal moves fill a fresh untried range in
+    /// `legal_moves` order, beside an empty child range of the same
+    /// capacity. Bounded trees reuse a freed range of exactly that
+    /// capacity when one exists.
+    fn list(&mut self, i: usize) {
+        let mut legal = MoveBuf::new();
+        self.state[i].legal_moves(&mut legal);
+        let n = legal.len();
+        let range = self.bounded.as_mut().and_then(|b| b.free_ranges[n].pop());
         let (child_first, untried_first) = match range {
-            Some(r) => r,
+            Some((cf, uf)) => {
+                self.move_slab[uf as usize..uf as usize + n].copy_from_slice(legal.as_slice());
+                (cf, uf)
+            }
             None => {
                 let cf = self.child_slab.len() as u32;
                 self.child_slab.resize(self.child_slab.len() + n, NO_NODE);
                 let uf = self.move_slab.len() as u32;
-                self.move_slab
-                    .resize(self.move_slab.len() + n, G::Move::default());
+                self.move_slab.extend_from_slice(legal.as_slice());
                 (cf, uf)
             }
         };
-        let i = id as usize;
-        self.move_slab[untried_first as usize..untried_first as usize + n]
-            .copy_from_slice(legal.as_slice());
-        self.visits[i] = 0;
-        self.wins[i] = 0.0;
-        self.inflight[i] = 0;
         self.child_first[i] = child_first;
-        self.child_len[i] = 0;
-        self.untried_len[i] = n as u16;
         self.untried_first[i] = untried_first;
-        self.parent[i] = parent;
-        self.mv[i] = mv;
-        self.depth[i] = depth;
-        self.state[i] = state;
-        self.max_depth = self.max_depth.max(depth);
-        let b = self.bounded.as_mut().expect("bounded mode");
-        b.lru_push_head(id);
-        if let Some((visits, wins)) = b.tt.register(state.zobrist(), id) {
-            // A previously evicted copy of this position left statistics
-            // behind: seed the fresh node with them. (Child visit sums may
-            // then exceed the parent's — harmless for UCB, and exactly the
-            // point of recovering the work.)
-            self.visits[i] = visits;
-            self.wins[i] = wins;
-        }
-        id
+        self.untried_len[i] = n as u16;
     }
 
     /// Recycles the least-recently-used evictable node: walks from the LRU
@@ -391,11 +402,12 @@ impl<G: Game> SearchTree<G> {
     ///
     /// Eviction order is a pure function of the touch order (expansion,
     /// backpropagation and creation advance the LRU clock; nothing else
-    /// does), so the same seed recycles the same nodes at any host-thread
-    /// count. The victim's move returns to its parent's untried list, so
-    /// the position can be re-expanded later — recovering its statistics
-    /// from the transposition table — and its arena slot and slab ranges
-    /// go to the free lists.
+    /// does, listing included), so the same seed recycles the same nodes at
+    /// any host-thread count. The victim's move returns to its parent's
+    /// untried list (a parent has children, so it is listed), so the
+    /// position can be re-expanded later — recovering its statistics from
+    /// the transposition table — and its arena slot goes to the free list,
+    /// with its slab ranges if it was listed.
     ///
     /// Skipping nodes with children is almost always free: backpropagation
     /// touches a leaf's ancestors after the leaf, so a parent is always
@@ -452,34 +464,43 @@ impl<G: Game> SearchTree<G> {
         let ulen = self.untried_len[p] as usize;
         self.move_slab[ubase + ulen] = self.mv[v];
         self.untried_len[p] += 1;
-        // The reserved range capacity equals `child_len + untried_len`,
-        // which for a leaf is just its untried count.
-        let cap = self.untried_len[v] as usize;
-        b.free_ranges[cap].push((self.child_first[v], self.untried_first[v]));
+        // A listed leaf's reserved range capacity equals `child_len +
+        // untried_len`, which for a leaf is just its untried count. An
+        // unlisted leaf holds no range.
+        if self.untried_first[v] != UNLISTED {
+            let cap = self.untried_len[v] as usize;
+            b.free_ranges[cap].push((self.child_first[v], self.untried_first[v]));
+        }
         b.free_nodes.push(victim);
         b.evictions += 1;
     }
 
-    /// Copies node `src_id` of `src` (statistics, untried moves, state) as a
-    /// new child of `parent`, rebasing its depth. Children are linked later
-    /// as the copy walk reaches them; the reserved capacity is the node's
-    /// full legal-move count (`untried + children`).
+    /// Gives the fresh node `i` the listing of node `s` of `src`: ranges
+    /// sized to the full legal-move count (`untried + children`, since
+    /// eviction may return every child's move to the untried list),
+    /// holding `s`'s untried moves. Children are linked later as the copy
+    /// walk reaches them. An unlisted source stays unlisted.
+    fn copy_listing(&mut self, i: usize, src: &SearchTree<G>, s: NodeId) {
+        let Some(untried) = src.untried(s) else {
+            return;
+        };
+        let cap = untried.len() + src.child_len[s as usize] as usize;
+        self.child_first[i] = self.child_slab.len() as u32;
+        self.child_slab.resize(self.child_slab.len() + cap, NO_NODE);
+        self.untried_first[i] = self.move_slab.len() as u32;
+        self.untried_len[i] = untried.len() as u16;
+        self.move_slab.extend_from_slice(untried);
+        self.move_slab.resize(
+            self.move_slab.len() + (cap - untried.len()),
+            G::Move::default(),
+        );
+    }
+
+    /// Copies node `src_id` of `src` (statistics, listing, state) as a new
+    /// child of `parent`, rebasing its depth.
     fn copy_node(&mut self, src: &SearchTree<G>, src_id: NodeId, parent: NodeId) -> NodeId {
         let s = src_id as usize;
         let id = self.visits.len() as NodeId;
-        let untried = src.untried_len[s] as usize;
-        let cap = untried + src.child_len[s] as usize;
-        let child_first = self.child_slab.len() as u32;
-        self.child_slab.resize(self.child_slab.len() + cap, NO_NODE);
-        let untried_first = self.move_slab.len() as u32;
-        let sb = src.untried_first[s] as usize;
-        self.move_slab
-            .extend_from_slice(&src.move_slab[sb..sb + untried]);
-        // Reserve the *full* capacity, not just the current untried count:
-        // eviction returns a child's move to its parent's untried list, so
-        // the range must be able to grow back to the legal-move count.
-        self.move_slab
-            .resize(self.move_slab.len() + (cap - untried), G::Move::default());
         let depth = self.depth[parent as usize] + 1;
         // In-flight counts never survive a copy: subtree extraction happens
         // between moves, when every batch has been backpropagated.
@@ -487,14 +508,15 @@ impl<G: Game> SearchTree<G> {
         self.visits.push(src.visits[s]);
         self.wins.push(src.wins[s]);
         self.inflight.push(0);
-        self.child_first.push(child_first);
+        self.child_first.push(0);
         self.child_len.push(0);
-        self.untried_len.push(untried as u16);
-        self.untried_first.push(untried_first);
+        self.untried_len.push(0);
+        self.untried_first.push(UNLISTED);
         self.parent.push(parent);
         self.mv.push(src.mv[s]);
         self.depth.push(depth);
         self.state.push(src.state[s]);
+        self.copy_listing(id as usize, src, src_id);
         let slot =
             self.child_first[parent as usize] as usize + self.child_len[parent as usize] as usize;
         self.child_slab[slot] = id;
@@ -588,29 +610,63 @@ impl<G: Game> SearchTree<G> {
         &self.child_slab[first..first + self.child_len[id as usize] as usize]
     }
 
-    /// Legal moves of `id` not yet expanded into children.
+    /// Legal moves of `id` not yet expanded into children, or `None` while
+    /// `id` is unlisted. An unlisted node has no children, and its untried
+    /// moves are its state's legal moves, listed in `legal_moves` order on
+    /// its first expansion ([`Self::list_moves`]).
     #[inline]
-    pub fn untried(&self, id: NodeId) -> &[G::Move] {
-        let first = self.untried_first[id as usize] as usize;
-        &self.move_slab[first..first + self.untried_len[id as usize] as usize]
+    pub fn untried(&self, id: NodeId) -> Option<&[G::Move]> {
+        let first = self.untried_first[id as usize];
+        if first == UNLISTED {
+            return None;
+        }
+        let first = first as usize;
+        Some(&self.move_slab[first..first + self.untried_len[id as usize] as usize])
     }
 
-    /// Number of untried moves at `id`.
+    /// Number of untried moves at `id`. An unlisted node answers from its
+    /// state, whose every legal move is untried.
     #[inline]
     pub fn untried_len(&self, id: NodeId) -> usize {
-        self.untried_len[id as usize] as usize
+        let i = id as usize;
+        if self.untried_first[i] != UNLISTED {
+            return self.untried_len[i] as usize;
+        }
+        let mut legal = MoveBuf::new();
+        self.state[i].legal_moves(&mut legal);
+        legal.len()
     }
 
-    /// Whether every legal move of `id` has been expanded.
+    /// Whether every legal move of `id` has been expanded. An unlisted node
+    /// has expanded none, so it is fully expanded only if it is terminal.
     #[inline]
     pub fn fully_expanded(&self, id: NodeId) -> bool {
-        self.untried_len[id as usize] == 0
+        let i = id as usize;
+        if self.untried_first[i] == UNLISTED {
+            return self.state[i].is_terminal();
+        }
+        self.untried_len[i] == 0
     }
 
-    /// Whether `id`'s state is terminal (no legal moves at creation).
+    /// Whether `id`'s state is terminal (it has no legal moves).
     #[inline]
     pub fn is_terminal(&self, id: NodeId) -> bool {
-        self.untried_len[id as usize] == 0 && self.child_len[id as usize] == 0
+        self.state[id as usize].is_terminal()
+    }
+
+    /// Lists `id`'s legal moves if no search has expanded it yet, and
+    /// returns its untried count. This is the selection step's one write:
+    /// every searcher calls it (directly or through [`Self::expand`]) on
+    /// the node it selected before drawing an expansion pick from the
+    /// count. Listing reserves the node's child and untried ranges, both
+    /// sized to the legal-move count, and never touches the LRU clock.
+    #[inline]
+    pub fn list_moves(&mut self, id: NodeId) -> usize {
+        let i = id as usize;
+        if self.untried_first[i] == UNLISTED {
+            self.list(i);
+        }
+        self.untried_len[i] as usize
     }
 
     /// Mean reward of `id` (½ when unvisited).
@@ -679,7 +735,9 @@ impl<G: Game> SearchTree<G> {
 
     /// MCTS **selection** (paper §II.1): descends from the root choosing
     /// UCB-maximal children while nodes are fully expanded, returning the
-    /// first node that still has untried moves (or a terminal node).
+    /// first node that still has untried moves, is unlisted, or is
+    /// terminal. The caller lists it with [`Self::list_moves`] before
+    /// drawing an expansion pick.
     ///
     /// The walk reads one contiguous child-id slice per level and hoists
     /// `ln(parent_visits)` out of the per-child loop ([`ucb1_with_ln`]).
@@ -771,7 +829,7 @@ impl<G: Game> SearchTree<G> {
     /// # Panics
     /// Panics if `id` has no untried moves.
     pub fn expand<R: Rng64>(&mut self, id: NodeId, rng: &mut R) -> NodeId {
-        let n = self.untried_len[id as usize];
+        let n = self.list_moves(id);
         assert!(n != 0, "expand on fully expanded node");
         let pick = rng.next_below(n as u32);
         self.expand_with_pick(id, pick)
@@ -786,7 +844,7 @@ impl<G: Game> SearchTree<G> {
     /// Panics if `id` has no untried moves or `pick` is out of range.
     pub fn expand_with_pick(&mut self, id: NodeId, pick: u32) -> NodeId {
         let i = id as usize;
-        let n = self.untried_len[i] as usize;
+        let n = self.list_moves(id);
         assert!(n != 0, "expand on fully expanded node");
         let pick = pick as usize;
         assert!(pick < n, "expansion pick out of range");
@@ -891,16 +949,11 @@ impl<G: Game> SearchTree<G> {
             Some(b) => SearchTree::bounded(self.state[s], b.max_nodes),
             None => SearchTree::new(self.state[s]),
         };
-        // Copy the root's statistics and expansion state. The fresh root's
-        // untried range was reserved for the full legal-move count, which
-        // bounds the source's remaining untried moves, so the copy fits.
+        // Copy the root's statistics and listing; unlisted nodes, the root
+        // included, stay unlisted.
         out.visits[0] = self.visits[s];
         out.wins[0] = self.wins[s];
-        let untried = self.untried_len[s] as usize;
-        let sb = self.untried_first[s] as usize;
-        let db = out.untried_first[0] as usize;
-        out.move_slab[db..db + untried].copy_from_slice(&self.move_slab[sb..sb + untried]);
-        out.untried_len[0] = untried as u16;
+        out.copy_listing(0, self, id);
         // Breadth-first copy with an explicit (source, dest) queue — the
         // same visit order as the original layout, so surviving nodes get
         // identical ids.
@@ -988,13 +1041,91 @@ impl<G: Game> SearchTree<G> {
         self.bounded.as_ref().map(|b| b.tt.stats())
     }
 
-    /// Exhaustive structural validation for tests (no-op on unbounded
-    /// trees): the LRU list round-trips and covers exactly the non-freed
-    /// slots, freed slots are marked, the arena never exceeds its cap, and
-    /// every live node's children are live and link back to it.
+    /// Exhaustive structural validation for tests, on every tree.
+    ///
+    /// Every live node's children are live, link back to it and hold its
+    /// state after their move, and every live node but the root is some
+    /// node's child. An unlisted node has no children and no range. A
+    /// listed node's untried moves plus its children's moves are exactly
+    /// its state's legal set, in ranges sized to that count which overlap
+    /// no other range (bounded trees' free ranges included) and fit their
+    /// slabs. In bounded trees the LRU list round-trips and covers exactly
+    /// the non-freed slots, freed slots are marked, and the arena never
+    /// exceeds its cap.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
-        let Some(b) = &self.bounded else { return };
+        // `(first, capacity)` of every reserved child and untried range.
+        let mut child_ranges: Vec<(u32, usize)> = Vec::new();
+        let mut move_ranges: Vec<(u32, usize)> = Vec::new();
+        let mut freed = vec![false; self.len()];
+        if let Some(b) = &self.bounded {
+            self.validate_lru(b);
+            for &f in &b.free_nodes {
+                freed[f as usize] = true;
+            }
+            for (cap, ranges) in b.free_ranges.iter().enumerate() {
+                for &(cf, uf) in ranges {
+                    child_ranges.push((cf, cap));
+                    move_ranges.push((uf, cap));
+                }
+            }
+        }
+        let mut linked = 0usize;
+        for i in (0..self.len()).filter(|&i| !freed[i]) {
+            let id = i as NodeId;
+            for &c in self.children(id) {
+                assert_eq!(
+                    self.parent[c as usize], id,
+                    "child {c} does not link back to parent {i}"
+                );
+                assert!(!freed[c as usize], "live node {i} links freed child {c}");
+                let mut next = self.state[i];
+                next.apply(self.mv[c as usize]);
+                assert_eq!(
+                    next, self.state[c as usize],
+                    "child {c} state is not parent {i} state after its move"
+                );
+            }
+            linked += self.children(id).len();
+            let Some(untried) = self.untried(id) else {
+                assert!(
+                    self.child_len[i] == 0 && self.untried_len[i] == 0 && self.child_first[i] == 0,
+                    "unlisted node {i} has children or a range"
+                );
+                continue;
+            };
+            // Untried moves plus children moves are exactly the legal set:
+            // eviction returns moves to the untried list and recycling
+            // rewrites ranges, and neither may lose or duplicate a move.
+            let mut legal = MoveBuf::new();
+            self.state[i].legal_moves(&mut legal);
+            let mut remaining: Vec<G::Move> = legal.as_slice().to_vec();
+            let held = untried
+                .iter()
+                .copied()
+                .chain(self.children(id).iter().map(|&c| self.mv[c as usize]));
+            for m in held {
+                let at = remaining
+                    .iter()
+                    .position(|&l| l == m)
+                    .unwrap_or_else(|| panic!("node {i} holds non-legal move {m:?}"));
+                remaining.swap_remove(at);
+            }
+            assert!(
+                remaining.is_empty(),
+                "node {i} lost legal moves {remaining:?}"
+            );
+            child_ranges.push((self.child_first[i], legal.len()));
+            move_ranges.push((self.untried_first[i], legal.len()));
+        }
+        let live = freed.iter().filter(|&&f| !f).count();
+        assert_eq!(linked + 1, live, "every live node but the root is a child");
+        assert_disjoint(child_ranges, self.child_slab.len(), "child");
+        assert_disjoint(move_ranges, self.move_slab.len(), "untried");
+    }
+
+    /// The bounded part of [`Self::debug_validate`]: the LRU list.
+    fn validate_lru(&self, b: &Bounded) {
         assert!(self.len() <= b.max_nodes as usize, "arena over capacity");
         let mut on_list = vec![false; self.len()];
         let mut id = b.head;
@@ -1019,54 +1150,26 @@ impl<G: Game> SearchTree<G> {
             assert!(!on_list[f as usize], "freed slot {f} on the LRU list");
             assert_eq!(b.lru_prev[f as usize], FREED, "freed slot {f} unmarked");
         }
-        for i in 0..self.len() {
-            if b.lru_prev[i] == FREED {
-                continue;
-            }
-            for &c in self.children(i as NodeId) {
-                assert_eq!(
-                    self.parent[c as usize], i as NodeId,
-                    "child {c} does not link back to parent {i}"
-                );
-                assert_ne!(
-                    b.lru_prev[c as usize], FREED,
-                    "live node {i} links freed child {c}"
-                );
-                let mut next = self.state[i];
-                next.apply(self.mv[c as usize]);
-                assert_eq!(
-                    next, self.state[c as usize],
-                    "child {c} state is not parent {i} state after its move"
-                );
-            }
-            // Untried moves plus children moves are exactly the legal set:
-            // eviction returns moves to the untried list and recycling
-            // rewrites ranges, and neither may lose or duplicate a move.
-            let mut legal = MoveBuf::new();
-            self.state[i].legal_moves(&mut legal);
-            let mut remaining: Vec<G::Move> = legal.as_slice().to_vec();
-            let ub = self.untried_first[i] as usize;
-            let held = self.move_slab[ub..ub + self.untried_len[i] as usize]
-                .iter()
-                .copied()
-                .chain(
-                    self.children(i as NodeId)
-                        .iter()
-                        .map(|&c| self.mv[c as usize]),
-                );
-            for m in held {
-                let at = remaining
-                    .iter()
-                    .position(|&l| l == m)
-                    .unwrap_or_else(|| panic!("node {i} holds non-legal move {m:?}"));
-                remaining.swap_remove(at);
-            }
-            assert!(
-                remaining.is_empty(),
-                "node {i} lost legal moves {remaining:?}"
-            );
-        }
     }
+}
+
+/// Asserts that the `(first, capacity)` ranges of one slab overlap nowhere
+/// and end inside it. Empty ranges hold no slot and are skipped.
+fn assert_disjoint(mut ranges: Vec<(u32, usize)>, slab_len: usize, slab: &str) {
+    ranges.retain(|&(_, cap)| cap > 0);
+    ranges.sort_unstable();
+    let mut end = 0usize;
+    for (first, cap) in ranges {
+        assert!(
+            first as usize >= end,
+            "{slab} range at {first} overlaps the range ending at {end}"
+        );
+        end = first as usize + cap;
+    }
+    assert!(
+        end <= slab_len,
+        "{slab} range ends at {end}, past the slab's {slab_len}"
+    );
 }
 
 /// Whether `id` is `tip` or one of `tip`'s ancestors — i.e. lies on the
@@ -1154,8 +1257,8 @@ mod tests {
     #[test]
     fn expansion_never_grows_a_reserved_child_range() {
         // Fully expand the root and one child: every child id must land in
-        // the range reserved at node creation (no reallocation, ranges stay
-        // contiguous and disjoint).
+        // the range reserved when its parent was listed (no reallocation,
+        // ranges stay contiguous and disjoint).
         let mut t = SearchTree::new(Reversi::initial());
         let mut rng = Xoshiro256pp::new(9);
         let total = t.untried_len(t.root());
@@ -1181,6 +1284,51 @@ mod tests {
         seen.dedup();
         assert_eq!(seen.len(), total + n);
         assert!(seen.iter().all(|&id| (id as usize) < t.len()));
+        t.debug_validate();
+    }
+
+    #[test]
+    fn nodes_list_their_moves_on_first_expansion() {
+        let mut t = SearchTree::new(Reversi::initial());
+        // A fresh node is unlisted, and the read accessors answer from its
+        // state.
+        assert_eq!(t.untried(t.root()), None);
+        assert_eq!(t.untried_len(t.root()), 4);
+        assert!(!t.fully_expanded(t.root()));
+        assert!(!t.is_terminal(t.root()));
+        let mut legal = MoveBuf::new();
+        Reversi::initial().legal_moves(&mut legal);
+        assert_eq!(t.list_moves(t.root()), 4);
+        assert_eq!(t.untried(t.root()), Some(legal.as_slice()));
+        // Listing again changes nothing.
+        assert_eq!(t.list_moves(t.root()), 4);
+        assert_eq!(t.untried(t.root()), Some(legal.as_slice()));
+        // Expansion lists the parent, not the child it creates.
+        let c = t.expand_with_pick(t.root(), 0);
+        assert_eq!(t.untried(c), None);
+        assert!(t.children(c).is_empty());
+        assert_eq!(t.untried_len(c), 3);
+        t.debug_validate();
+        // A listed child's moves are its state's legal moves, in order.
+        t.state(c).legal_moves(&mut legal);
+        assert_eq!(t.list_moves(c), legal.len());
+        assert_eq!(t.untried(c), Some(legal.as_slice()));
+        t.debug_validate();
+    }
+
+    #[test]
+    fn unlisted_terminal_leaves_read_terminal() {
+        // O to move after X completed the top row: no legal moves.
+        let mut t = SearchTree::new(TicTacToe::initial());
+        let win = expand_path(&mut t, &[0, 3, 1, 4, 2]);
+        assert_eq!(t.untried(win), None);
+        assert!(t.is_terminal(win));
+        assert!(t.fully_expanded(win));
+        assert_eq!(t.untried_len(win), 0);
+        assert_eq!(t.list_moves(win), 0);
+        assert_eq!(t.untried(win), Some(&[][..]));
+        assert!(t.is_terminal(win));
+        t.debug_validate();
     }
 
     #[test]
@@ -1341,7 +1489,9 @@ mod tests {
     fn expand_path(t: &mut SearchTree<TicTacToe>, moves: &[u8]) -> NodeId {
         let mut id = t.root();
         for &mv in moves {
-            id = match t.untried(id).iter().position(|&m| m == mv) {
+            t.list_moves(id);
+            let untried = t.untried(id).expect("listed above");
+            id = match untried.iter().position(|&m| m == mv) {
                 Some(pos) => t.expand_with_pick(id, pos as u32),
                 None => *t
                     .children(id)
@@ -1434,7 +1584,43 @@ mod tests {
         assert_eq!(t.evictions(), 1);
         assert_eq!(t.children(t.root()).len(), 1);
         assert_eq!(t.untried_len(t.root()), 8);
-        assert!(t.untried(t.root()).contains(&mv1));
+        assert!(t.untried(t.root()).expect("root is listed").contains(&mv1));
+        t.debug_validate();
+    }
+
+    /// Number of freed ranges of capacity `cap` in a bounded tree.
+    fn free_ranges<G: Game>(t: &SearchTree<G>, cap: usize) -> usize {
+        t.bounded.as_ref().expect("bounded tree").free_ranges[cap].len()
+    }
+
+    #[test]
+    fn bounded_nodes_claim_ranges_when_listed() {
+        // Cap 3: the root and two children. The root lists 9 moves; each
+        // child, one X stone in, has 8.
+        let mut t = SearchTree::bounded(TicTacToe::initial(), 3);
+        let c1 = t.expand_with_pick(t.root(), 0);
+        let c2 = t.expand_with_pick(t.root(), 0);
+        assert_eq!(t.list_moves(c1), 8);
+        let slabs = (t.child_slab.len(), t.move_slab.len());
+        // Listing c1 left the LRU clock alone, so c1 is still the tail and
+        // the next expansion evicts it, not c2. Its listed range is freed.
+        let c3 = t.expand_with_pick(t.root(), 0);
+        assert_eq!(c3, c1, "the listed leaf was the LRU victim");
+        assert_eq!(t.children(t.root()), &[c2, c3]);
+        assert_eq!(free_ranges(&t, 8), 1);
+        // The recycled slot starts unlisted and claims the freed range only
+        // when it is listed, so the slabs do not grow.
+        assert_eq!(t.untried(c3), None);
+        assert_eq!(t.list_moves(c3), 8);
+        assert_eq!(free_ranges(&t, 8), 0);
+        assert_eq!((t.child_slab.len(), t.move_slab.len()), slabs);
+        t.debug_validate();
+        // Evicting the unlisted c2 frees its slot and no range.
+        t.backprop(c3, 0.5, 1);
+        let c4 = t.expand_with_pick(t.root(), 0);
+        assert_eq!(c4, c2, "the unlisted leaf was the LRU victim");
+        assert_eq!(t.evictions(), 2);
+        assert!((0..=9).all(|cap| free_ranges(&t, cap) == 0));
         t.debug_validate();
     }
 
@@ -1451,6 +1637,7 @@ mod tests {
         // ...then re-expand the evicted move: its 4 visits come back.
         let pick = t
             .untried(t.root())
+            .expect("root is listed")
             .iter()
             .position(|&m| m == mv1)
             .expect("evicted move is untried again") as u32;
@@ -1535,5 +1722,6 @@ mod tests {
         assert_eq!(sub.children(0).len(), t.children(child).len());
         // Compaction: the new slabs only hold surviving nodes' ranges.
         assert!(sub.len() < t.len());
+        sub.debug_validate();
     }
 }

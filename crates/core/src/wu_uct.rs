@@ -236,9 +236,10 @@ fn select_wave<G: Game>(
     let mut frontier: Frontier<G> = Vec::with_capacity(blocks);
     for _ in 0..blocks {
         let sel = tree.select_corrected(exploration_c);
-        let node = if tree.untried_len(sel) != 0 {
+        let untried = tree.list_moves(sel);
+        let node = if untried != 0 {
             phases.expansions += 1;
-            let pick = rng.next_below(tree.untried_len(sel) as u32);
+            let pick = rng.next_below(untried as u32);
             tree.expand_with_pick(sel, pick)
         } else {
             sel

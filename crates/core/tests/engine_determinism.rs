@@ -1099,14 +1099,21 @@ proptest! {
     /// `extract_subtree` (the persistent searcher's re-root) is a
     /// compacting copy into fresh slabs: every node surviving the re-root
     /// must keep its exact `(visits, wins, depth)` triple, its untried
-    /// moves, its state and its child structure — nothing else survives.
+    /// moves (`None` while unlisted), its state and its child structure —
+    /// nothing else survives. Bounded trees of 96 nodes recycle as they
+    /// grow, so their copies carry returned moves and recycled ranges.
     #[test]
     fn reroot_compaction_preserves_surviving_subtrees(
         seed in any::<u64>(),
         iters in 30usize..250,
         pick in 0usize..8,
+        bounded in any::<bool>(),
     ) {
-        let mut tree = SearchTree::new(Reversi::initial());
+        let mut tree = if bounded {
+            SearchTree::bounded(Reversi::initial(), 96)
+        } else {
+            SearchTree::new(Reversi::initial())
+        };
         let mut rng = Xoshiro256pp::new(seed);
         for i in 0..iters {
             let id = tree.select(1.4);
@@ -1142,5 +1149,6 @@ proptest! {
             }
         }
         prop_assert_eq!(visited, sub.len(), "subtree copied exactly once per survivor");
+        sub.debug_validate();
     }
 }

@@ -3,10 +3,13 @@
 //!
 //! * `DeviceTreeSearcher`: every block's resident tree equals a host
 //!   replay of the canonical in-kernel order — rounds outer, lanes inner,
-//!   one scalar playout per lane iteration — over block counts that are
-//!   and are not multiples of the lane width, bounded trees that recycle,
-//!   and aborted blocks; the ledger is exact, and in the debug profile the
-//!   device allocator mirror's `debug_assert` checks every launch;
+//!   one scalar playout per lane iteration — node for node, over block
+//!   counts that are and are not multiples of the lane width, bounded
+//!   trees that recycle, aborted blocks, and two or three consecutive
+//!   searches whose re-root copies carry unlisted leaves; the ledger is
+//!   exact, every tree passes `debug_validate` after every search, and in
+//!   the debug profile the device allocator mirror's `debug_assert` checks
+//!   every launch;
 //! * `RootParallelSearcher`: every tree equals its solo
 //!   `SequentialSearcher::with_stream(config, stream).search(root, budget)`,
 //!   dead trees included, and the merged report is the same on one and on
@@ -14,7 +17,7 @@
 
 use pmcts_core::prelude::*;
 use pmcts_core::tree::{merge_root_stats, SearchTree};
-use pmcts_games::random_playout;
+use pmcts_games::{random_playout, ReversiMove};
 use pmcts_gpu_sim::WorkerPool;
 use pmcts_util::{Rng64, Xoshiro256pp};
 use proptest::prelude::*;
@@ -22,6 +25,9 @@ use std::sync::Arc;
 
 /// The lane seed step of every launch epoch (`wave::LANE_SEED_STEP`).
 const LANE_SEED_STEP: u64 = 0xA076_1D64_78BD_642F;
+
+/// Plies below an old root scanned when re-rooting (`tree::REROOT_DEPTH`).
+const REROOT_DEPTH: u32 = 4;
 
 /// A position 0–39 random plies into a game.
 fn position(seed: u64) -> Reversi {
@@ -52,10 +58,24 @@ fn lane_iteration(tree: &mut SearchTree<Reversi>, rng: &mut Xoshiro256pp, c: f64
     tree.backprop(node, playout.reward_for(Player::P1), 1);
 }
 
-/// Per-node (visits, win-sum bits), plus the recycling counters.
-fn tree_image(tree: &SearchTree<Reversi>) -> (Vec<(u64, u64)>, usize, u64) {
+/// One node of a tree image: visits, win-sum bits, children and the
+/// untried list (`None` while unlisted).
+type NodeImage = (u64, u64, Vec<u32>, Option<Vec<ReversiMove>>);
+
+/// Every node's image, plus the recycling counters. A terminal leaf
+/// images as listed with no moves: the searcher lists the terminal leaf
+/// it selects, while the replay reads its untried count without listing.
+fn tree_image(tree: &SearchTree<Reversi>) -> (Vec<NodeImage>, usize, u64) {
     let nodes = (0..tree.len() as u32)
-        .map(|id| (tree.visits(id), tree.wins(id).to_bits()))
+        .map(|id| {
+            let untried = tree.untried(id).map(<[_]>::to_vec);
+            (
+                tree.visits(id),
+                tree.wins(id).to_bits(),
+                tree.children(id).to_vec(),
+                untried.or_else(|| tree.is_terminal(id).then(Vec::new)),
+            )
+        })
         .collect();
     (nodes, tree.live_nodes(), tree.evictions())
 }
@@ -84,46 +104,74 @@ proptest! {
         }
         let launch = LaunchConfig::new(blocks, tpb);
         let device = Device::new(DeviceSpec::tesla_c2050()).with_host_threads(2);
-        let root = position(seed);
+        let mut root = position(seed);
         prop_assume!(!root.is_terminal());
         let mut searcher = DeviceTreeSearcher::<Reversi>::new(config.clone(), device, launch);
-        let report = searcher.search(root, SearchBudget::Iterations(rounds));
-
-        // An iteration budget runs as one launch, epoch 1 of stream 0.
-        let voided = match config.faults.gpu_fault(0, 1, blocks) {
-            GpuFault::BlockAbort(b) => Some(b as usize),
-            _ => None,
-        };
-        let live_blocks = u64::from(blocks) - u64::from(voided.is_some());
-        prop_assert_eq!(report.phases.phase_sum(), report.elapsed);
-        prop_assert_eq!(report.iterations, rounds);
-        prop_assert_eq!(report.phases.kernel_launches, 1);
-        prop_assert_eq!(report.simulations, rounds * u64::from(tpb) * live_blocks);
-        prop_assert_eq!(report.phases.faults.degraded, u64::from(voided.is_some()));
-
-        let trees = searcher.resident_trees().expect("trees stay resident");
-        prop_assert_eq!(trees.len(), blocks as usize);
-        let launch_seed = seed.wrapping_add(LANE_SEED_STEP);
         let tpb = tpb as usize;
-        for (b, tree) in trees.iter().enumerate() {
-            let mut reference = SearchTree::for_config(root, &config);
-            if Some(b) != voided {
-                let mut rngs: Vec<Xoshiro256pp> = (0..tpb)
-                    .map(|l| Xoshiro256pp::derive(launch_seed, (b * tpb + l) as u64))
-                    .collect();
-                for _ in 0..rounds {
-                    for rng in &mut rngs {
-                        lane_iteration(&mut reference, rng, config.exploration_c);
+        // The replay's trees after the previous search, one per block.
+        let mut references: Vec<SearchTree<Reversi>> = Vec::new();
+        let mut plies = Xoshiro256pp::new(seed ^ 0x5EA5);
+        let searches = 2 + seed % 2;
+        for epoch in 1..=searches {
+            let report = searcher.search(root, SearchBudget::Iterations(rounds));
+
+            // An iteration budget runs as one launch: search k is epoch k
+            // of stream 0.
+            let voided = match config.faults.gpu_fault(0, epoch, blocks) {
+                GpuFault::BlockAbort(b) => Some(b as usize),
+                _ => None,
+            };
+            let live_blocks = u64::from(blocks) - u64::from(voided.is_some());
+            prop_assert_eq!(report.phases.phase_sum(), report.elapsed);
+            prop_assert_eq!(report.iterations, rounds);
+            prop_assert_eq!(report.phases.kernel_launches, 1);
+            prop_assert_eq!(report.simulations, rounds * tpb as u64 * live_blocks);
+            prop_assert_eq!(report.phases.faults.degraded, u64::from(voided.is_some()));
+
+            let trees = searcher.resident_trees().expect("trees stay resident");
+            prop_assert_eq!(trees.len(), blocks as usize);
+            let launch_seed = seed.wrapping_add(epoch.wrapping_mul(LANE_SEED_STEP));
+            let old = std::mem::take(&mut references);
+            for (b, tree) in trees.iter().enumerate() {
+                // Re-root as the searcher does: a copy of the most-visited
+                // node holding `root` within the re-root depth, else a
+                // cold tree.
+                let mut reference = old
+                    .get(b)
+                    .and_then(|t| Some(t.extract_subtree(t.find_state(&root, REROOT_DEPTH)?)))
+                    .unwrap_or_else(|| SearchTree::for_config(root, &config));
+                if Some(b) != voided {
+                    let mut rngs: Vec<Xoshiro256pp> = (0..tpb)
+                        .map(|l| Xoshiro256pp::derive(launch_seed, (b * tpb + l) as u64))
+                        .collect();
+                    for _ in 0..rounds {
+                        for rng in &mut rngs {
+                            lane_iteration(&mut reference, rng, config.exploration_c);
+                        }
                     }
                 }
+                tree.debug_validate();
+                prop_assert_eq!(
+                    tree_image(tree),
+                    tree_image(&reference),
+                    "block {} of {} diverged from the lane-by-lane replay in search {}",
+                    b,
+                    blocks,
+                    epoch
+                );
+                references.push(reference);
             }
-            prop_assert_eq!(
-                tree_image(tree),
-                tree_image(&reference),
-                "block {} of {} diverged from the lane-by-lane replay",
-                b,
-                blocks
-            );
+
+            // The next search starts zero to two random plies on.
+            for _ in 0..plies.next_below(3) {
+                match root.random_move(&mut plies) {
+                    Some(mv) => root.apply(mv),
+                    None => break,
+                }
+            }
+            if root.is_terminal() {
+                break;
+            }
         }
     }
 
